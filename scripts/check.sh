@@ -49,10 +49,10 @@
 #   ./scripts/check.sh                # all of the above
 #   ./scripts/check.sh default        # one preset
 #   ./scripts/check.sh tsan lint      # any subset, in order
-#   ./scripts/check.sh --bench        # all of the above + quick bench
-#                                     # trajectory (scripts/bench.sh);
+#   ./scripts/check.sh --bench        # all of the above + the benchmark's
+#                                     # self-tests (perfbench/selftest.py);
 #                                     # opt-in, never part of the default
-#                                     # gate — timing is machine-local
+#                                     # gate
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -176,8 +176,8 @@ for stage in "${STAGES[@]}"; do
 done
 
 if [ "$RUN_BENCH" -eq 1 ]; then
-  echo "== bench (quick trajectory)"
-  ./scripts/bench.sh --quick --out "${ANUFS_BENCH_OUT:-/tmp/BENCH_core.quick.json}"
+  echo "== bench (perfbench self-tests)"
+  python3 perfbench/selftest.py
 fi
 
 echo "check.sh: all stages green"

@@ -4,9 +4,10 @@
 // indexes; a bookkeeping bug that corrupts both the partitions and the
 // indexes consistently would pass it. The auditor closes that gap: it
 // re-derives every structural claim from the public query surface alone
-// (dump(), owner_at(), segments(), share()) and from raw serialized
-// records, so it would also catch a restore()/replication payload that
-// lies about the state it carries.
+// (dump(), owner_at(), segments(), share()) and from raw dumped
+// records, so it would also catch a RegionMap::dump() that a replica
+// rebuilds from with restore() (or a serve/snapshot copy) lying about
+// the state it carries.
 //
 // Invariants audited (paper Section 4, SIEVE rules):
 //   * disjointness  — each partition has at most one owner, no duplicate
@@ -61,7 +62,8 @@ class InvariantAuditor {
 
   // ---- pure audits (no live map required) -------------------------------
 
-  /// Audit raw serialized state — the exact payload replication ships.
+  /// Audit raw dumped state — the RegionMap::dump() records a replica
+  /// rebuilds from with RegionMap::restore().
   /// `n_partitions` need not be validated by the caller; a bad count is
   /// itself reported. This is the seam tests use to seed violations.
   [[nodiscard]] static Report audit_records(

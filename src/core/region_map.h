@@ -241,7 +241,7 @@ class RegionMap {
     mutation_hook_ = std::move(hook);
   }
 
-  // ---- serialization support (see core/replication.h) -------------------
+  // ---- replicated state: what a replica rebuilds the map from -----------
 
   /// One partition's persisted state.
   struct PartitionRecord {

@@ -133,8 +133,8 @@ struct ScenarioConfig {
   double serve_seconds = 1.0;
 };
 
-/// Parse a scenario; aborts with a <source>:<line>: <token> diagnostic
-/// on malformed input (never an uncaught std::invalid_argument).
+/// Parse a scenario; aborts with a <source>:<line>: diagnostic on
+/// malformed input, a trailing token included (common/line_reader.h).
 /// `source_name` names the input in diagnostics (the file path, or
 /// "<stdin>"/"<inline>").
 [[nodiscard]] ScenarioConfig parse_scenario(

@@ -10,126 +10,78 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 #include "sim/random.h"
 
 namespace anufs::fault {
 
 namespace {
 
-[[noreturn]] void plan_failure(std::size_t line_no, const std::string& what) {
-  std::fprintf(stderr, "anufs-fault-plan: line %zu: %s\n", line_no,
-               what.c_str());
-  std::abort();
-}
-
-double want_double(std::istringstream& ss, std::size_t line_no,
-                   const char* what) {
-  std::string token;
-  if (!(ss >> token)) plan_failure(line_no, std::string("missing ") + what);
-  try {
-    return std::stod(token);
-  } catch (...) {
-    plan_failure(line_no, std::string("bad ") + what + " '" + token + "'");
-  }
-}
-
-std::uint32_t want_u32(std::istringstream& ss, std::size_t line_no,
-                       const char* what) {
-  std::string token;
-  if (!(ss >> token)) plan_failure(line_no, std::string("missing ") + what);
-  try {
-    return static_cast<std::uint32_t>(std::stoul(token));
-  } catch (...) {
-    plan_failure(line_no, std::string("bad ") + what + " '" + token + "'");
-  }
-}
-
-void expect_end(std::istringstream& ss, std::size_t line_no) {
-  std::string extra;
-  if (ss >> extra) plan_failure(line_no, "trailing token '" + extra + "'");
-}
-
-void parse_line(const std::string& raw, std::size_t line_no,
-                FaultPlan& plan) {
-  std::string line = raw;
-  if (const auto hash_pos = line.find('#'); hash_pos != std::string::npos) {
-    line.resize(hash_pos);
-  }
-  std::istringstream ss(line);
-  std::string key;
-  if (!(ss >> key)) return;
-  if (key == "crash") {
-    CrashEvent e;
-    e.time = want_double(ss, line_no, "time");
-    e.server = want_u32(ss, line_no, "server");
-    plan.crashes.push_back(e);
-  } else if (key == "recover") {
-    RecoverEvent e;
-    e.time = want_double(ss, line_no, "time");
-    e.server = want_u32(ss, line_no, "server");
-    plan.recoveries.push_back(e);
-  } else if (key == "add") {
-    AddEvent e;
-    e.time = want_double(ss, line_no, "time");
-    e.server = want_u32(ss, line_no, "server");
-    e.speed = want_double(ss, line_no, "speed");
-    plan.additions.push_back(e);
-  } else if (key == "limp") {
-    LimpWindow w;
-    w.begin = want_double(ss, line_no, "begin");
-    w.end = want_double(ss, line_no, "end");
-    w.server = want_u32(ss, line_no, "server");
-    w.factor = want_double(ss, line_no, "factor");
-    plan.limps.push_back(w);
-  } else if (key == "san_slow") {
-    SanSlowWindow w;
-    w.begin = want_double(ss, line_no, "begin");
-    w.end = want_double(ss, line_no, "end");
-    w.factor = want_double(ss, line_no, "factor");
-    plan.san_slowdowns.push_back(w);
-  } else if (key == "move_flaky") {
-    MoveFlakyWindow w;
-    w.begin = want_double(ss, line_no, "begin");
-    w.end = want_double(ss, line_no, "end");
-    w.probability = want_double(ss, line_no, "probability");
-    w.max_retries = want_u32(ss, line_no, "max_retries");
-    w.backoff = want_double(ss, line_no, "backoff");
-    plan.flaky_moves.push_back(w);
-  } else {
-    plan_failure(line_no, "unknown directive '" + key + "'");
-  }
-  expect_end(ss, line_no);
-}
+constexpr const char* kPrefix = "anufs-fault-plan";
 
 }  // namespace
 
-FaultPlan parse_fault_plan(std::istream& is) {
-  FaultPlan plan;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    parse_line(line, line_no, plan);
+void parse_fault_directive(LineReader& in, FaultPlan& plan) {
+  const std::string key = in.word("fault directive");
+  if (key == "crash") {
+    CrashEvent e;
+    e.time = in.take<double>("time");
+    e.server = in.take<std::uint32_t>("server");
+    plan.crashes.push_back(e);
+  } else if (key == "recover") {
+    RecoverEvent e;
+    e.time = in.take<double>("time");
+    e.server = in.take<std::uint32_t>("server");
+    plan.recoveries.push_back(e);
+  } else if (key == "add") {
+    AddEvent e;
+    e.time = in.take<double>("time");
+    e.server = in.take<std::uint32_t>("server");
+    e.speed = in.take<double>("speed");
+    plan.additions.push_back(e);
+  } else if (key == "limp") {
+    LimpWindow w;
+    w.begin = in.take<double>("begin");
+    w.end = in.take<double>("end");
+    w.server = in.take<std::uint32_t>("server");
+    w.factor = in.take<double>("factor");
+    plan.limps.push_back(w);
+  } else if (key == "san_slow") {
+    SanSlowWindow w;
+    w.begin = in.take<double>("begin");
+    w.end = in.take<double>("end");
+    w.factor = in.take<double>("factor");
+    plan.san_slowdowns.push_back(w);
+  } else if (key == "move_flaky") {
+    MoveFlakyWindow w;
+    w.begin = in.take<double>("begin");
+    w.end = in.take<double>("end");
+    w.probability = in.take<double>("probability");
+    w.max_retries = in.take<std::uint32_t>("max_retries");
+    w.backoff = in.take<double>("backoff");
+    plan.flaky_moves.push_back(w);
+  } else {
+    in.fail("unknown directive '" + key + "'");
   }
+  in.expect_end();
+}
+
+FaultPlan parse_fault_plan(std::istream& is, const std::string& source_name) {
+  FaultPlan plan;
+  LineReader in(is, source_name, kPrefix);
+  while (in.next()) parse_fault_directive(in, plan);
   return plan;
 }
 
 FaultPlan parse_fault_plan_text(const std::string& text) {
   std::istringstream is(text);
-  return parse_fault_plan(is);
-}
-
-void parse_fault_directive(const std::string& line, FaultPlan& plan) {
-  parse_line(line, /*line_no=*/1, plan);
+  return parse_fault_plan(is, "<inline>");
 }
 
 FaultPlan load_fault_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "anufs-fault-plan: cannot open %s\n", path.c_str());
-    std::abort();
-  }
-  return parse_fault_plan(in);
+  std::ifstream file(path);
+  if (!file.good()) LineReader(file, path, kPrefix).fail("cannot open");
+  return parse_fault_plan(file, path);
 }
 
 std::string to_text(const FaultPlan& plan) {

@@ -35,6 +35,10 @@
 
 #include "common/ids.h"
 
+namespace anufs {
+class LineReader;
+}  // namespace anufs
+
 namespace anufs::fault {
 
 struct CrashEvent {
@@ -103,18 +107,23 @@ struct FaultPlan {
   }
 };
 
-/// Parse a plan; aborts with a line diagnostic on malformed input
-/// (mirrors driver::parse_scenario's contract).
-[[nodiscard]] FaultPlan parse_fault_plan(std::istream& is);
+/// Parse a plan; aborts with a `<source>:<line>:` diagnostic on
+/// malformed input (common/line_reader.h). `source_name` names the input
+/// in diagnostics.
+[[nodiscard]] FaultPlan parse_fault_plan(std::istream& is,
+                                         const std::string& source_name);
 
-/// Parse from a string (tests, inline configs).
+/// Parse from a string (tests, inline configs); diagnostics name the
+/// source "<inline>".
 [[nodiscard]] FaultPlan parse_fault_plan_text(const std::string& text);
 
-/// Parse a single directive line ("crash 300 2"); aborts on error.
-/// Used for inline `fault <directive>` scenario keys.
-void parse_fault_directive(const std::string& line, FaultPlan& plan);
+/// Parse one directive ("crash 300 2") from the rest of `in`'s current
+/// line into `plan`; aborts on error. Inline `fault <directive>` scenario
+/// keys use it, so their diagnostics name the scenario's file and line.
+void parse_fault_directive(LineReader& in, FaultPlan& plan);
 
-/// Load a plan from a file; aborts if the file cannot be opened.
+/// Load a plan from a file; diagnostics (a missing file included) name
+/// `path`.
 [[nodiscard]] FaultPlan load_fault_plan(const std::string& path);
 
 /// Serialize back to the grammar above. parse(to_text(p)) == p up to

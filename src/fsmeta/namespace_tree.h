@@ -84,7 +84,8 @@ class NamespaceTree {
   /// serializations are byte-equal).
   void serialize(std::ostream& os) const;
 
-  /// Rebuild from serialize() output; aborts on malformed input.
+  /// Rebuild from serialize() output; aborts with a `<namespace>:<line>:`
+  /// diagnostic on malformed input (common/line_reader.h).
   [[nodiscard]] static NamespaceTree deserialize(std::istream& is);
 
  private:

@@ -3,20 +3,17 @@
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 
 namespace anufs::workload {
 
 namespace {
 
-[[noreturn]] void parse_failure(std::size_t line_no, const std::string& what) {
-  std::fprintf(stderr, "anufs-trace: parse error at line %zu: %s\n", line_no,
-               what.c_str());
-  std::abort();
-}
+constexpr const char* kPrefix = "anufs-trace";
 
 }  // namespace
 
@@ -34,63 +31,47 @@ void write_trace(std::ostream& os, const Workload& workload) {
   }
 }
 
-Workload read_trace(std::istream& is) {
+Workload read_trace(std::istream& is, const std::string& source_name) {
   Workload w;
   w.name = "trace";
-  std::string line;
-  std::size_t line_no = 0;
-
-  if (!std::getline(is, line) || line.rfind("# anufs-trace v1", 0) != 0) {
-    parse_failure(1, "missing '# anufs-trace v1' magic");
+  LineReader in(is, source_name, kPrefix);
+  const std::optional<std::string> magic = in.raw_line();
+  if (!magic.has_value() || magic->rfind("# anufs-trace v1", 0) != 0) {
+    in.fail("missing '# anufs-trace v1' magic");
   }
-  ++line_no;
 
   bool saw_duration = false;
-  while (std::getline(is, line)) {
-    ++line_no;
-    // Strip comments and blank lines.
-    if (const auto hash_pos = line.find('#'); hash_pos != std::string::npos) {
-      line.resize(hash_pos);
-    }
-    std::istringstream ss(line);
-    std::string kind;
-    if (!(ss >> kind)) continue;
-
+  while (in.next()) {
+    const std::string kind = in.word("record kind");
     if (kind == "duration") {
-      if (!(ss >> w.duration) || w.duration <= 0.0) {
-        parse_failure(line_no, "bad duration");
-      }
+      w.duration = in.take<double>("duration");
+      if (w.duration <= 0.0) in.fail("bad duration (must be > 0)");
       saw_duration = true;
     } else if (kind == "fileset") {
-      std::uint32_t id = 0;
-      std::string name;
-      double weight = 0.0;
-      if (!(ss >> id >> name >> weight)) {
-        parse_failure(line_no, "bad fileset record");
-      }
+      const auto id = in.take<std::uint32_t>("fileset id");
+      std::string name = in.word("fileset name");
+      const auto weight = in.take<double>("fileset weight");
       if (id != w.file_sets.size()) {
-        parse_failure(line_no, "fileset ids must be dense from 0");
+        in.fail("fileset ids must be dense from 0");
       }
       w.file_sets.push_back(FileSetSpec::make(id, std::move(name), weight));
     } else if (kind == "req") {
-      double time = 0.0;
-      std::uint32_t fs = 0;
-      double demand = 0.0;
-      if (!(ss >> time >> fs >> demand)) {
-        parse_failure(line_no, "bad req record");
-      }
+      const auto time = in.take<double>("req time");
+      const auto fs = in.take<std::uint32_t>("req fileset id");
+      const auto demand = in.take<double>("req demand");
       if (fs >= w.file_sets.size()) {
-        parse_failure(line_no, "req references undeclared fileset");
+        in.fail("req references undeclared fileset");
       }
       if (!w.requests.empty() && time < w.requests.back().time) {
-        parse_failure(line_no, "requests out of time order");
+        in.fail("requests out of time order");
       }
       w.requests.push_back(RequestEvent{time, FileSetId{fs}, demand});
     } else {
-      parse_failure(line_no, "unknown record kind '" + kind + "'");
+      in.fail("unknown record kind '" + kind + "'");
     }
+    in.expect_end();
   }
-  if (!saw_duration) parse_failure(line_no, "missing duration record");
+  if (!saw_duration) in.fail("missing duration record");
   w.validate();
   return w;
 }
@@ -103,9 +84,9 @@ void save_trace(const std::string& path, const Workload& workload) {
 }
 
 Workload load_trace(const std::string& path) {
-  std::ifstream in(path);
-  ANUFS_EXPECTS(in.good());
-  return read_trace(in);
+  std::ifstream file(path);
+  if (!file.good()) LineReader(file, path, kPrefix).fail("cannot open");
+  return read_trace(file, path);
 }
 
 }  // namespace anufs::workload

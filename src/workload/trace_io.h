@@ -25,8 +25,11 @@ namespace anufs::workload {
 /// floating-point text precision (17 significant digits are written).
 void write_trace(std::ostream& os, const Workload& workload);
 
-/// Parse a workload; aborts with a diagnostic on malformed input.
-[[nodiscard]] Workload read_trace(std::istream& is);
+/// Parse a workload; aborts with a `<source>:<line>:` diagnostic on
+/// malformed input (common/line_reader.h). `source_name` names the input
+/// in diagnostics.
+[[nodiscard]] Workload read_trace(std::istream& is,
+                                  const std::string& source_name = "<trace>");
 
 /// Convenience file wrappers.
 void save_trace(const std::string& path, const Workload& workload);

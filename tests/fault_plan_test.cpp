@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "common/line_reader.h"
 
 namespace anufs::fault {
 namespace {
@@ -50,19 +53,44 @@ TEST(FaultPlanParse, EmptyAndCommentOnlyPlansAreEmpty) {
 }
 
 TEST(FaultPlanParse, MalformedDirectivesAbortWithLineDiagnostic) {
-  EXPECT_DEATH((void)parse_fault_plan_text("crash oops 2\n"), "line 1");
-  EXPECT_DEATH((void)parse_fault_plan_text("# ok\nfrob 1 2\n"), "line 2");
-  EXPECT_DEATH((void)parse_fault_plan_text("crash 300 2 extra\n"), "line 1");
+  EXPECT_DEATH((void)parse_fault_plan_text("crash oops 2\n"), "<inline>:1:");
+  EXPECT_DEATH((void)parse_fault_plan_text("# ok\nfrob 1 2\n"),
+               "<inline>:2:");
+  EXPECT_DEATH((void)parse_fault_plan_text("crash 300 2 extra\n"),
+               "<inline>:1:");
   // Backwards windows parse (they are syntactically fine) but never
   // validate.
   EXPECT_FALSE(
       validate(parse_fault_plan_text("limp 100 50 1 0.5\n"), 5).empty());
 }
 
+TEST(FaultPlanParse, MalformedTokensDieWithSourceAndLine) {
+  // Each bad token sits on line 2, behind a comment line. Every one of
+  // these used to parse: as server 4294967295, as t=1.5 on server 0, or
+  // as a NaN window edge.
+  const char* const bad[] = {
+      "crash 100 -1",           // unsigned field given a negative
+      "crash 1.5x 2",           // trailing junk in a number
+      "crash 1.5x 4294967296",  // ...and a u32 overflow behind it
+      "limp 10 nan 0 0.5",      // not finite
+      "san_slow 10 inf 2",      // not finite
+      "crash 100 4294967296",   // does not fit a u32 server id
+      "recover 100 2 extra",    // trailing token
+  };
+  for (const char* line : bad) {
+    SCOPED_TRACE(line);
+    EXPECT_DEATH(
+        (void)parse_fault_plan_text(std::string("# plan\n") + line + "\n"),
+        "anufs-fault-plan: <inline>:2: ");
+  }
+}
+
 TEST(FaultPlanParse, SingleDirectiveHelper) {
+  // Directives read from a caller's LineReader, one per line.
+  std::istringstream is("crash 12.5 3\nlimp 1 2 0 0.5\n");
+  LineReader in(is, "<inline>", "test");
   FaultPlan plan;
-  parse_fault_directive("crash 12.5 3", plan);
-  parse_fault_directive("limp 1 2 0 0.5", plan);
+  while (in.next()) parse_fault_directive(in, plan);
   ASSERT_EQ(plan.crashes.size(), 1u);
   EXPECT_EQ(plan.crashes[0].time, 12.5);
   ASSERT_EQ(plan.limps.size(), 1u);

@@ -1,5 +1,6 @@
 // Tests for the SIEVE-style region allocator: structural invariants,
-// minimal movement, re-partitioning, and randomized operation fuzzing.
+// minimal movement, re-partitioning, randomized operation fuzzing, and
+// the replicated state (dump()/restore()) a replica rebuilds from.
 #include "core/region_map.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <optional>
 #include <vector>
 
+#include "core/anu_system.h"
+#include "core/placement.h"
 #include "hash/unit_interval.h"
 #include "sim/random.h"
 
@@ -367,6 +370,117 @@ TEST_P(RegionMapFuzz, RandomOperationsKeepInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionMapFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ---- replicated state: dump() / restore() ---------------------------------
+// "The delegate distributes a new mapping of servers to the unit interval
+// to all servers. This is the only replicated state needed by our
+// algorithm." (§4) A replica holds the placement config plus the region
+// map's dump(), and rebuilds its map with restore().
+
+AnuSystem tuned_system() {
+  std::vector<ServerId> ids;
+  for (std::uint32_t i = 0; i < 5; ++i) ids.push_back(ServerId{i});
+  AnuSystem system{AnuConfig{}, ids};
+  // A couple of skewed rounds so the state is non-trivial.
+  std::vector<ServerReport> reports;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    reports.push_back(ServerReport{ServerId{i}, 0.01 * (i + 1) * (i + 1),
+                                   100});
+  }
+  (void)system.reconfigure(reports);
+  (void)system.reconfigure(reports);
+  return system;
+}
+
+/// What a server applying the delegate's distribution builds: the same
+/// placement config, the region map restored from `records`.
+PlacementMap replica_of(
+    const PlacementMap& map,
+    const std::vector<RegionMap::PartitionRecord>& records) {
+  const std::uint32_t partitions = map.regions().space().count();
+  PlacementMap replica(map.config(), partitions);
+  replica.regions() =
+      RegionMap::restore(partitions, map.regions().server_ids(), records);
+  return replica;
+}
+
+TEST(RegionMapDump, RestoreEqualsOriginal) {
+  const AnuSystem system = tuned_system();
+  const RegionMap& original = system.regions();
+  const RegionMap rebuilt = RegionMap::restore(
+      original.space().count(), original.server_ids(), original.dump());
+  EXPECT_EQ(rebuilt.total_share(), original.total_share());
+  for (const ServerId id : original.server_ids()) {
+    EXPECT_EQ(rebuilt.share(id), original.share(id));
+  }
+  sim::Xoshiro256 rng{5};
+  for (int i = 0; i < 5000; ++i) {
+    const hash::Pos x = rng();
+    EXPECT_EQ(rebuilt.owner_at(x), original.owner_at(x));
+  }
+}
+
+TEST(Replication, ReplicaResolvesIdentically) {
+  const AnuSystem system = tuned_system();
+  const PlacementMap replica =
+      replica_of(system.placement(), system.regions().dump());
+  sim::Xoshiro256 rng{77};
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t fp = rng();
+    EXPECT_EQ(system.placement().locate_server(fp),
+              replica.locate_server(fp));
+  }
+  replica.regions().check_invariants();
+  EXPECT_EQ(replica.regions().total_share(), kHalfInterval);
+}
+
+TEST(Replication, ZeroShareServersSurvive) {
+  std::vector<ServerId> ids{ServerId{0}, ServerId{1}};
+  AnuSystem system{AnuConfig{}, ids};
+  // Drive server 0 to the floor: it still must exist in the replica
+  // (fallback hashing needs the full alive list).
+  std::vector<ServerReport> reports{{ServerId{0}, 5.0, 100},
+                                    {ServerId{1}, 0.001, 100}};
+  for (int i = 0; i < 40; ++i) (void)system.reconfigure(reports);
+  const PlacementMap replica =
+      replica_of(system.placement(), system.regions().dump());
+  EXPECT_TRUE(replica.regions().has_server(ServerId{0}));
+  EXPECT_EQ(replica.regions().share(ServerId{0}),
+            system.regions().share(ServerId{0}));
+}
+
+TEST(Replication, StateSizeScalesWithServersNotFileSets) {
+  // §5: the shared state "scales with the number of servers, rather than
+  // the number of file sets". Routing 10 or 100000 distinct file sets
+  // leaves the dump unchanged: one record per occupied partition, and
+  // the partition count is fixed by the server count alone.
+  const AnuSystem system = tuned_system();
+  const std::vector<RegionMap::PartitionRecord> before =
+      system.regions().dump();
+  sim::Xoshiro256 rng{9};
+  for (int file_sets : {10, 100000}) {
+    for (int i = 0; i < file_sets; ++i) (void)system.locate(rng());
+    EXPECT_EQ(system.regions().dump().size(), before.size());
+  }
+  EXPECT_LE(before.size(), system.regions().space().count());
+  EXPECT_EQ(system.regions().space().count(),
+            RegionMap::for_servers(5).space().count());
+}
+
+TEST(ReplicationDeathTest, ApplyRejectsCorruptRegions) {
+  const AnuSystem system = tuned_system();
+  std::vector<RegionMap::PartitionRecord> records = system.regions().dump();
+  // Corrupt: point a region at an unregistered server.
+  records[0].owner = ServerId{99};
+  EXPECT_DEATH((void)replica_of(system.placement(), records), "precondition");
+}
+
+TEST(ReplicationDeathTest, ApplyRejectsDuplicatePartition) {
+  const AnuSystem system = tuned_system();
+  std::vector<RegionMap::PartitionRecord> records = system.regions().dump();
+  records.push_back(records[0]);
+  EXPECT_DEATH((void)replica_of(system.placement(), records), "precondition");
+}
 
 }  // namespace
 }  // namespace anufs::core

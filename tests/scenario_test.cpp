@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "policies/registry.h"
 
@@ -144,6 +146,41 @@ TEST(ScenarioParseDeathTest, UnknownPolicyListsRegisteredNames) {
   // typo'd scenario tells the operator what IS available.
   EXPECT_DEATH((void)parse_scenario_text("policy frobnicate\n"),
                "<inline>:1: unknown policy 'frobnicate' \\(registered: anu");
+}
+
+TEST(ScenarioParseDeathTest, MalformedTokensNameSourceAndLine) {
+  // Each bad token sits on line 2, behind a well-formed line.
+  const char* const bad[] = {
+      "file_sets -1",          // unsigned field given a negative
+      "duration 1.5x",         // trailing junk in a number
+      "period nan",            // not finite
+      "max_scale inf",         // not finite
+      "file_sets 4294967296",  // does not fit a u32
+      "seed 7 extra",          // trailing token
+  };
+  for (const char* line : bad) {
+    SCOPED_TRACE(line);
+    EXPECT_DEATH(
+        (void)parse_scenario_text(std::string("policy anu\n") + line + "\n"),
+        "anufs-scenario: <inline>:2: ");
+  }
+}
+
+TEST(ScenarioParseDeathTest, FaultDiagnosticsNameFileAndLine) {
+  // An inline `fault` directive is part of the scenario: its error names
+  // the scenario's source and line.
+  std::istringstream scenario(
+      "# faulty\npolicy anu\nservers 1,3,5\nfault crash oops 2\n");
+  EXPECT_DEATH((void)parse_scenario(scenario, "s.conf"),
+               "anufs-scenario: s\\.conf:4: bad time 'oops'");
+  // A `faults` plan file is its own source.
+  const std::string path = testing::TempDir() + "/p.plan";
+  {
+    std::ofstream out(path);
+    out << "crash 10 0\nrecover 50 0\nlimp 60 nan 1 0.5\n";
+  }
+  EXPECT_DEATH((void)parse_scenario_text("faults " + path + "\n"),
+               "anufs-fault-plan: .*p\\.plan:3: bad end 'nan'");
 }
 
 TEST(ScenarioParseDeathTest, PowDZeroRejected) {

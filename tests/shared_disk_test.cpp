@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace anufs::disk {
 namespace {
@@ -55,6 +56,25 @@ TEST(NamespaceSerialize, NextInodeSurvives) {
 TEST(NamespaceSerializeDeathTest, RejectsGarbage) {
   std::istringstream is("not a namespace\n");
   EXPECT_DEATH((void)fsmeta::NamespaceTree::deserialize(is), "magic");
+}
+
+TEST(NamespaceSerializeDeathTest, MalformedTokensNameLine) {
+  // Each bad record sits on line 5, after the magic and three good
+  // records (the root directory and one file).
+  const char* const bad[] = {
+      "inode 2 f -1 0 1",          // unsigned field given a negative
+      "inode 2 f 0 0 4294967296",  // nlink does not fit a u32
+      "inode 2 x 0 0 1",           // neither f nor d
+      "entry 0 a 1 extra",         // trailing token
+  };
+  for (const char* line : bad) {
+    SCOPED_TRACE(line);
+    std::istringstream is(std::string("# anufs-namespace v1\nnext 3\n"
+                                      "inode 0 d 0 0 2\ninode 1 f 0 0 1\n") +
+                          line + "\n");
+    EXPECT_DEATH((void)fsmeta::NamespaceTree::deserialize(is),
+                 "anufs-namespace: <namespace>:5: (bad|trailing)");
+  }
 }
 
 TEST(Journal, AppendTracksDirty) {

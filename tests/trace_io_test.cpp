@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "workload/synthetic.h"
 
@@ -93,6 +94,26 @@ TEST(TraceIoDeathTest, RejectsOutOfOrderRequests) {
 TEST(TraceIoDeathTest, RejectsMissingDuration) {
   std::stringstream in("# anufs-trace v1\nfileset 0 x 1\n");
   EXPECT_DEATH((void)read_trace(in), "duration");
+}
+
+TEST(TraceIoDeathTest, MalformedTokensNameSourceAndLine) {
+  // Each bad record sits on line 4, after the magic, the duration and
+  // one file set.
+  const char* const bad[] = {
+      "fileset -1 y 1",          // unsigned field given a negative
+      "req 1.5x 0 0.1",          // trailing junk in a number
+      "req nan 0 0.1",           // not finite
+      "req 1 0 inf",             // not finite
+      "req 1 4294967296 0.1",    // does not fit a u32 file-set id
+      "req 1 0 0.1 junk",        // trailing token
+  };
+  for (const char* line : bad) {
+    SCOPED_TRACE(line);
+    std::stringstream in(std::string("# anufs-trace v1\nduration 10\n"
+                                     "fileset 0 x 1\n") +
+                         line + "\n");
+    EXPECT_DEATH((void)read_trace(in), "anufs-trace: <trace>:4: ");
+  }
 }
 
 TEST(TraceIoDeathTest, RejectsBadDuration) {

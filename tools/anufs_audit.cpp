@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/line_reader.h"
 #include "core/invariant_auditor.h"
 #include "driver/parallel_runner.h"
 #include "driver/scenario.h"
@@ -77,8 +78,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (++i >= argc) usage(argv[0]);
-      jobs_override =
-          static_cast<std::size_t>(std::strtoul(argv[i], nullptr, 10));
+      jobs_override = static_cast<std::size_t>(
+          anufs::flag_value<std::uint64_t>("--jobs", argv[i]));
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       if (++i >= argc) usage(argv[0]);
       sweep_override = argv[i];
@@ -98,14 +99,14 @@ int main(int argc, char** argv) {
 
   anufs::driver::ScenarioConfig config;
   if (std::strcmp(input, "-") == 0) {
-    config = anufs::driver::parse_scenario(std::cin);
+    config = anufs::driver::parse_scenario(std::cin, "<stdin>");
   } else {
     std::ifstream in(input);
     if (!in.good()) {
       std::fprintf(stderr, "cannot open %s\n", input);
       return 2;
     }
-    config = anufs::driver::parse_scenario(in);
+    config = anufs::driver::parse_scenario(in, input);
   }
   if (!sweep_override.empty()) {
     const anufs::driver::ScenarioConfig sweep_config =

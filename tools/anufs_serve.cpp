@@ -19,10 +19,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/line_reader.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -51,21 +51,10 @@ void usage(const char* argv0) {
       << "  --quiet            print only the one-line summary\n";
 }
 
-[[nodiscard]] std::uint64_t parse_u64(const char* arg, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (end == arg || *end != '\0') {
-    std::cerr << flag << ": not a number: " << arg << "\n";
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-[[nodiscard]] double parse_double(const char* arg, const char* flag) {
-  char* end = nullptr;
-  const double v = std::strtod(arg, &end);
-  if (end == arg || *end != '\0' || v < 0.0) {
-    std::cerr << flag << ": not a non-negative number: " << arg << "\n";
+[[nodiscard]] double non_negative(const char* flag, const char* arg) {
+  const double v = anufs::flag_value<double>(flag, arg);
+  if (v < 0.0) {
+    std::cerr << flag << ": bad value '" << arg << "' (expected >= 0)\n";
     std::exit(2);
   }
   return v;
@@ -89,21 +78,22 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      config.threads = static_cast<std::uint32_t>(parse_u64(next(), "--threads"));
+      config.threads = anufs::flag_value<std::uint32_t>("--threads", next());
     } else if (arg == "--seconds") {
-      config.seconds = parse_double(next(), "--seconds");
+      config.seconds = non_negative("--seconds", next());
     } else if (arg == "--ops") {
-      config.writer_ops = parse_u64(next(), "--ops");
+      config.writer_ops = anufs::flag_value<std::uint64_t>("--ops", next());
     } else if (arg == "--ops-per-second") {
-      config.writer_ops_per_second = parse_double(next(), "--ops-per-second");
+      config.writer_ops_per_second = non_negative("--ops-per-second", next());
     } else if (arg == "--servers") {
-      config.n_servers = static_cast<std::uint32_t>(parse_u64(next(), "--servers"));
+      config.n_servers = anufs::flag_value<std::uint32_t>("--servers", next());
     } else if (arg == "--file-sets") {
-      config.file_sets = static_cast<std::uint32_t>(parse_u64(next(), "--file-sets"));
+      config.file_sets =
+          anufs::flag_value<std::uint32_t>("--file-sets", next());
     } else if (arg == "--batch") {
-      config.batch_size = static_cast<std::uint32_t>(parse_u64(next(), "--batch"));
+      config.batch_size = anufs::flag_value<std::uint32_t>("--batch", next());
     } else if (arg == "--seed") {
-      config.seed = parse_u64(next(), "--seed");
+      config.seed = anufs::flag_value<std::uint64_t>("--seed", next());
     } else if (arg == "--faults") {
       config.faults = anufs::fault::load_fault_plan(next());
     } else if (arg == "--check") {

@@ -36,6 +36,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/line_reader.h"
 #include "driver/parallel_runner.h"
 #include "driver/scenario.h"
 #include "fault/fault_plan.h"
@@ -97,9 +98,8 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--jobs") == 0) {
       if (++i >= argc) usage(argv[0]);
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0') usage(argv[0]);
+      const std::uint64_t n =
+          anufs::flag_value<std::uint64_t>("--jobs", argv[i]);
       // --jobs 0 = "auto": size to the hardware (and a failed probe
       // still yields 1 worker — never a zero-thread pool).
       jobs_set = true;
