@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "policies/join_idle_queue.h"
 #include "policies/pow_d.h"
+#include "serve/lookup_service.h"
 #include "serve/snapshot.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
@@ -138,44 +139,15 @@ void BM_LocateBatchCached(benchmark::State& state) {
 }
 BENCHMARK(BM_LocateBatchCached)->Arg(1)->Arg(8)->Arg(64)->Arg(1024);
 
-// The serving hot path (src/serve): pin a published snapshot, run one
-// batch of cached lookups against its map, release the pin. This is
-// exactly one reader-loop iteration of serve::LookupService, so the
-// items/s rate is the single-thread ceiling of `anufs_serve`; the
-// multi-thread number is measured live by the tool and the serve-smoke
-// gate. The epoch pin/unpin amortizes across the batch — growing the
-// batch should leave the per-item cost flat at the BM_LocateCached
-// floor.
-void BM_ServeLocate(benchmark::State& state) {
-  const auto batch = static_cast<std::uint32_t>(state.range(0));
-  std::vector<ServerId> servers;
-  for (std::uint32_t i = 0; i < 16; ++i) servers.push_back(ServerId{i});
-  core::AnuSystem system{core::AnuConfig{}, servers};
-  serve::SnapshotStore store(/*max_readers=*/1);
-  store.publish(system.placement());
-  core::PlacementCache cache(16384);
-  const std::vector<std::uint64_t> fps = working_set_fps();
-  std::size_t i = 0;
-  std::uint64_t folded = 0;
-  for (auto _ : state) {
-    const serve::Snapshot* snap = store.acquire(0);
-    for (std::uint32_t k = 0; k < batch; ++k) {
-      folded ^= cache.locate(snap->map, fps[i]).server.value;
-      i = (i + 1) & (kWorkingSet - 1);
-    }
-    store.release(0);
-  }
-  benchmark::DoNotOptimize(folded);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * batch);
-  state.counters["hit_rate"] = cache.stats().hit_rate();
-}
-BENCHMARK(BM_ServeLocate)->Arg(1)->Arg(64)->Arg(256);
-
-// The batched reader-loop iteration: one epoch pin, one
-// cache.locate_many sweep, one digest fold — exactly what
-// serve::LookupService::run_batch now does per batch. Compare items/s
-// against BM_ServeLocate's per-lookup loop at the same batch size.
+// The serving hot path (src/serve): one reader-loop iteration of
+// serve::LookupService, exactly what run_batch does per batch — pin a
+// published snapshot, draw the batch from the working set, compute it
+// with one snap->map.locate_many sweep, fold every answer independently
+// into the digest, release the pin. The items/s rate is the
+// single-thread ceiling of `anufs_serve`; the multi-thread number is
+// measured live by the tool and the serve-smoke gate. The pin amortizes
+// across the batch, so per-item cost should approach the BM_LocateBatch
+// floor as the batch grows.
 void BM_ServeLocateBatch(benchmark::State& state) {
   const auto batch = static_cast<std::uint32_t>(state.range(0));
   std::vector<ServerId> servers;
@@ -183,22 +155,27 @@ void BM_ServeLocateBatch(benchmark::State& state) {
   core::AnuSystem system{core::AnuConfig{}, servers};
   serve::SnapshotStore store(/*max_readers=*/1);
   store.publish(system.placement());
-  core::PlacementCache cache(16384);
   const std::vector<std::uint64_t> fps = working_set_fps();
+  sim::Xoshiro256 rng{9};
   std::vector<std::uint64_t> in(batch);
-  for (std::uint32_t k = 0; k < batch; ++k) in[k] = fps[k & (kWorkingSet - 1)];
   std::vector<core::LocateResult> out(batch);
-  std::uint64_t folded = 0;
+  std::uint64_t digest = 0;
   for (auto _ : state) {
     const serve::Snapshot* snap = store.acquire(0);
-    cache.locate_many(snap->map, in, out);
-    for (std::uint32_t k = 0; k < batch; ++k) folded ^= out[k].server.value;
+    for (std::uint32_t k = 0; k < batch; ++k) {
+      in[k] = fps[rng.next_below(fps.size())];
+    }
+    snap->map.locate_many(in, out);
+    std::uint64_t folded = 0;
+    for (std::uint32_t k = 0; k < batch; ++k) {
+      folded += serve::fold_result(0, in[k], out[k]);
+    }
+    digest += folded;
     store.release(0);
   }
-  benchmark::DoNotOptimize(folded);
+  benchmark::DoNotOptimize(digest);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
-  state.counters["hit_rate"] = cache.stats().hit_rate();
 }
 BENCHMARK(BM_ServeLocateBatch)->Arg(1)->Arg(64)->Arg(256);
 

@@ -28,11 +28,13 @@
 #             included, auditor forced on) from the default preset's
 #             build — the tripwire for anyone touching the mixers,
 #             the owner-table layout, or the batch cache path
-#   serve-smoke  a 2-thread 1-second anufs_serve run (default preset's
-#             build) with --check: readers under live control-plane
-#             churn, every sample replayed sequentially; fails on zero
-#             throughput or any equivalence mismatch and logs the run's
-#             equivalence digest
+#   serve-smoke  two 2-thread 1-second anufs_serve runs (default
+#             preset's build) with --check, at the default 16 servers /
+#             4096 file sets and at the benchmark's serve_churn shape
+#             (64 servers / 65536 file sets): readers under live
+#             control-plane churn, every sample replayed sequentially;
+#             fails on zero throughput or any equivalence mismatch and
+#             logs each run's equivalence digest
 #   policy-smoke  replay one short seeded crash/recover scenario under
 #             the invariant auditor for EVERY policy in the registry
 #             (anufs_audit --policies all) — the tripwire for anyone
@@ -145,6 +147,11 @@ for stage in "${STAGES[@]}"; do
       || { echo "serve-smoke: no lookups served" >&2; exit 1; }
     echo "$SERVE_OUT" | grep -Eq 'equivalence: .* digest [0-9a-f]+ -> OK' \
       || { echo "serve-smoke: missing equivalence digest" >&2; exit 1; }
+    # The serve_churn shape: a 16x larger working set under 4x the servers.
+    CHURN_OUT="$(build/tools/anufs_serve --threads 2 --seconds 1 --servers 64 --file-sets 65536 --check)"
+    echo "$CHURN_OUT"
+    echo "$CHURN_OUT" | grep -Eq 'equivalence: .* digest [0-9a-f]+ -> OK' \
+      || { echo "serve-smoke: missing equivalence digest (64/65536)" >&2; exit 1; }
     continue
   fi
   if [ "$stage" = policy-smoke ]; then

@@ -35,13 +35,13 @@
 // Thread ownership: like the Scheduler, a PlacementCache is confined to
 // one thread for MUTATION — exactly one thread ever calls locate() or
 // clear() on a given instance. Concurrent simulations each own their own
-// cache (AnuSystem embeds one per instance, each parallel-sweep run owns
-// its system, and serving mode gives every reader thread its own). The
-// hit/miss counters, however, are single-writer relaxed atomics, so
-// stats() is safe to call from ANY thread at any time: serving mode
-// harvests per-thread cache effectiveness into run_metrics while the
-// readers are still running (tests/serve_harvest_test.cpp proves the
-// mid-serve harvest is race-free under TSan). Single-writer is what
+// cache (AnuSystem embeds one per instance, and each parallel-sweep run
+// owns its system; serving-mode readers keep no cache — they compute
+// every batch with PlacementMap::locate_many). The hit/miss counters,
+// however, are single-writer relaxed atomics, so stats() is safe to
+// call from ANY thread at any time, including while the owner is
+// mid-locate (tests/serve_harvest_test.cpp proves that harvest is
+// race-free under TSan). Single-writer is what
 // makes the load+store increment below exact — there is no concurrent
 // increment to lose — while costing the owner a plain add, not an
 // interlocked RMW, on the ~2.7 ns hot path.

@@ -123,7 +123,7 @@ struct ScenarioConfig {
   [[nodiscard]] bool is_sweep() const noexcept { return sweep_end != 0; }
   /// Serving phase (src/serve): serve_threads > 0 appends a REAL-TIME
   /// concurrent serving run after the simulated one — serve_threads
-  /// reader threads issue cached locates against a live AnuSystem while
+  /// reader threads compute batched locates against a live AnuSystem while
   /// a writer churns the control plane through epoch snapshots. The
   /// scenario's seed, file_sets, fault plan, and ANU knobs shape it;
   /// its serve_* metrics join the exported registry, and the phase

@@ -6,22 +6,11 @@
 #include <utility>
 
 #include "common/check.h"
-#include "hash/mix64.h"
 #include "metrics/summary.h"
 #include "sim/pacing.h"
 
 namespace anufs::serve {
 namespace {
-
-/// Order-stable fold of one served answer into a digest chain.
-[[nodiscard]] constexpr std::uint64_t fold_result(
-    std::uint64_t digest, std::uint64_t fp, const core::LocateResult& r) {
-  std::uint64_t x = digest ^ fp;
-  x = hash::mix64(x ^ (static_cast<std::uint64_t>(r.server.value) |
-                       (static_cast<std::uint64_t>(r.probes) << 32) |
-                       (r.fallback ? std::uint64_t{1} << 63 : 0)));
-  return hash::mix64(x ^ r.position);
-}
 
 [[nodiscard]] bool results_equal(const core::LocateResult& a,
                                  const core::LocateResult& b) noexcept {
@@ -92,13 +81,9 @@ LookupService::LookupService(ServeConfig config)
   // Per-reader state, heap-pinned: the atomics (and the epoch slots they
   // pair with) must never move.
   readers_.reserve(config_.threads);
-  const std::size_t cache_capacity =
-      config_.reader_cache_capacity != 0
-          ? config_.reader_cache_capacity
-          : std::max<std::size_t>(16384, std::size_t{16} * config_.file_sets);
   for (std::uint32_t i = 0; i < config_.threads; ++i) {
     readers_.push_back(std::make_unique<ReaderState>(
-        sim::derive_seed(config_.seed, "serve/reader", i), cache_capacity,
+        sim::derive_seed(config_.seed, "serve/reader", i),
         config_.batch_size));
   }
 
@@ -142,17 +127,13 @@ void LookupService::stop() {
   std::vector<double> all_batch_ns;
   for (const auto& reader : readers_) {
     r.lookups += reader->lookups.load(std::memory_order_relaxed);
-    const auto stats = reader->cache.stats();
-    r.cache.hits += stats.hits;
-    r.cache.misses += stats.misses;
-    r.cache.invalidations += stats.invalidations;
-    r.cache.revalidated += stats.revalidated;
-    r.digest ^= reader->digest;
+    r.digest += reader->digest;
     r.samples += reader->samples.size();
     r.latency_ns.merge(reader->latency_ns);
     all_batch_ns.insert(all_batch_ns.end(), reader->batch_ns.begin(),
                         reader->batch_ns.end());
   }
+  r.cache.misses = r.lookups;  // every lookup is computed
   r.lookups_per_second =
       r.seconds > 0.0 ? static_cast<double>(r.lookups) / r.seconds : 0.0;
   r.mean_ns = r.latency_ns.mean();
@@ -200,11 +181,6 @@ LiveStats LookupService::live_stats() const {
   for (const auto& reader : readers_) {
     out.lookups += reader->lookups.load(std::memory_order_relaxed);
     out.batches += reader->batches.load(std::memory_order_relaxed);
-    const auto stats = reader->cache.stats();
-    out.cache.hits += stats.hits;
-    out.cache.misses += stats.misses;
-    out.cache.invalidations += stats.invalidations;
-    out.cache.revalidated += stats.revalidated;
   }
   return out;
 }
@@ -380,7 +356,7 @@ void LookupService::reader_loop(std::size_t idx) {
     run_batch(r, snap->map, batch);
     if ((r.batch_count & sample_mask) == 0 &&
         r.samples.size() < config_.max_samples_per_reader) {
-      record_sample(r, *snap);
+      record_sample(r, *snap, batch);
     }
     store_.release(idx);
     const std::uint64_t t1 = sim::monotonic_ns();
@@ -401,36 +377,40 @@ void LookupService::reader_loop(std::size_t idx) {
 
 void LookupService::run_batch(ReaderState& r, const core::PlacementMap& map,
                               std::uint32_t n) {
-  // Draw the whole batch first (locate never touches the rng, so the
-  // draw sequence is exactly what the per-lookup loop produced), resolve
-  // it with one batched sweep, then fold in draw order. Staging is
-  // preallocated at batch_size in the ReaderState constructor.
+  // Draw the whole batch, compute it with one batched sweep, then fold
+  // every answer independently: a wrapping sum of per-answer folds has
+  // no loop-carried mix64 chain, so the folds overlap in the pipeline.
+  // Staging is preallocated at batch_size in the ReaderState constructor.
   const std::uint64_t set_size = fingerprints_.size();
   std::uint64_t* fps = r.batch_fps.data();
   core::LocateResult* results = r.batch_results.data();
   for (std::uint32_t i = 0; i < n; ++i) {
     fps[i] = fingerprints_[r.rng.next_below(set_size)];
   }
-  r.cache.locate_many(map, std::span<const std::uint64_t>(fps, n),
-                      std::span<core::LocateResult>(results, n));
-  std::uint64_t digest = r.digest;
+  map.locate_many(std::span<const std::uint64_t>(fps, n),
+                  std::span<core::LocateResult>(results, n));
+  std::uint64_t digest = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    digest = fold_result(digest, fps[i], results[i]);
+    digest += fold_result(0, fps[i], results[i]);
   }
-  r.digest = digest;
+  r.digest += digest;
 }
 
-void LookupService::record_sample(ReaderState& r, const Snapshot& snap) {
+void LookupService::record_sample(ReaderState& r, const Snapshot& snap,
+                                  std::uint32_t n) {
   // A torn or re-published snapshot would disagree with its own stamp.
   ANUFS_ENSURES(snap.map.regions().generation() == snap.generation);
+  // Any position of the batch may be picked, so over a run the check
+  // covers every lane of the batched sweep.
+  const std::size_t pick = r.rng.next_below(n);
   Sample s;
-  s.fingerprint = fingerprints_[r.rng.next_below(fingerprints_.size())];
+  s.fingerprint = r.batch_fps[pick];
   s.generation = snap.generation;
-  s.result = r.cache.locate(snap.map, s.fingerprint);
+  s.result = r.batch_results[pick];
   if (config_.validate_inline) {
-    // The cached answer must equal THIS snapshot's uncached derivation —
-    // the inline half of the correctness battery (the replay half is
-    // check_equivalence()).
+    // The served batch answer must equal THIS snapshot's scalar
+    // derivation — two independent code paths, the inline half of the
+    // correctness battery (the replay half is check_equivalence()).
     const core::LocateResult ref = snap.map.locate(s.fingerprint);
     ANUFS_ENSURES(results_equal(s.result, ref));
   }
@@ -514,14 +494,8 @@ void LookupService::harvest(const ServeResult& result,
   registry.counter("serve_final_generation").set(result.final_generation);
   registry.counter("serve_samples")
       .set(static_cast<std::uint64_t>(result.samples));
-  registry.counter("serve_cache_hits").set(result.cache.hits);
-  registry.counter("serve_cache_misses").set(result.cache.misses);
-  registry.counter("serve_cache_invalidations")
-      .set(result.cache.invalidations);
-  registry.counter("serve_cache_revalidated").set(result.cache.revalidated);
   registry.gauge("serve_seconds").set(result.seconds);
   registry.gauge("serve_lookups_per_second").set(result.lookups_per_second);
-  registry.gauge("serve_cache_hit_rate").set(result.cache.hit_rate());
   registry.gauge("serve_lookup_mean_ns").set(result.mean_ns);
   registry.gauge("serve_lookup_p50_ns").set(result.p50_ns);
   registry.gauge("serve_lookup_p99_ns").set(result.p99_ns);

@@ -6,17 +6,19 @@
 // single-thread confinement rule, unchanged) and drives seed-
 // deterministic control-plane churn — delegate retunes, server failures,
 // commissions — publishing an immutable placement snapshot through a
-// SnapshotStore after every mutation. N READER threads each own a
-// PlacementCache and route lookups against the snapshot they have
-// pinned; they never take a lock and never block on the control plane,
+// SnapshotStore after every mutation. N READER threads compute every
+// lookup from the snapshot they have pinned — no memo, no lookup table
+// beyond the map itself (paper §5: addressing is pure computation);
+// they never take a lock and never block on the control plane,
 // and the control plane never waits for them (serve/epoch.h has the
 // reclamation proof, DESIGN.md §6i the prose).
 //
 // Correctness is checked two ways, both exercised by the test battery:
 //
-//  * INLINE — each recorded sample is validated against the very
-//    snapshot it was served from (cached result == that snapshot's
-//    uncached locate), so a torn or half-published map cannot hide;
+//  * INLINE — each recorded sample is one answer of the batch just
+//    served (batched locate_many) and is validated against the very
+//    snapshot it was served from (== that snapshot's scalar locate), so
+//    a torn or half-published map cannot hide;
 //  * REPLAY — the writer records every control-plane op verbatim
 //    (retune reports included); check_equivalence() replays the log on
 //    a fresh AnuSystem and requires every concurrently-served sample to
@@ -25,7 +27,8 @@
 //    change timing and throughput, never an answer.
 //
 // Readers draw fingerprints from a shared immutable working set, batch
-// their lookups under one epoch pin (run_batch is the ANUFS_HOT loop;
+// their lookups under one epoch pin, resolve each batch with one
+// PlacementMap::locate_many sweep (run_batch is the ANUFS_HOT loop;
 // rule H1 statically forbids it from allocating, throwing, locking, or
 // sleeping), and keep single-writer relaxed-atomic counters so
 // live_stats() can be harvested from any thread mid-serve.
@@ -41,6 +44,7 @@
 #include "core/anu_system.h"
 #include "core/placement_cache.h"
 #include "fault/fault_plan.h"
+#include "hash/mix64.h"
 #include "obs/metrics_registry.h"
 #include "serve/snapshot.h"
 #include "sim/random.h"
@@ -49,7 +53,7 @@
 namespace anufs::serve {
 
 struct ServeConfig {
-  /// Reader thread count (each gets its own epoch slot, cache, RNG).
+  /// Reader thread count (each gets its own epoch slot and RNG).
   std::uint32_t threads = 4;
   /// Wall-clock serving window. 0 = run until the writer exhausts
   /// `writer_ops` and every reader has completed `min_batches` (the
@@ -79,16 +83,25 @@ struct ServeConfig {
   /// With seconds == 0: each reader runs at least this many batches.
   std::uint64_t min_batches = 64;
   /// Record one sample every 2^k batches per reader (k = this; the
-  /// sample is an extra lookup validated inline against the pinned
-  /// snapshot when validate_inline is set).
+  /// sample is one answer of the batch just served, validated inline
+  /// against the pinned snapshot's scalar locate when validate_inline
+  /// is set).
   std::uint32_t sample_every_batches_log2 = 2;
   std::size_t max_samples_per_reader = 4096;
   bool validate_inline = true;
-  /// Per-reader PlacementCache slots; 0 = auto (16x file_sets, floor
-  /// 16384), which keeps direct-mapped collision misses to a few
-  /// percent (the cache never resolves collisions; it just overwrites).
-  std::size_t reader_cache_capacity = 0;
 };
+
+/// Fold of one served answer into a digest. The readers fold each answer
+/// from 0 and sum the folds (order-independent, no serial chain);
+/// check_equivalence chains them in its own stable order.
+[[nodiscard]] constexpr std::uint64_t fold_result(
+    std::uint64_t digest, std::uint64_t fp, const core::LocateResult& r) {
+  std::uint64_t x = digest ^ fp;
+  x = hash::mix64(x ^ (static_cast<std::uint64_t>(r.server.value) |
+                       (static_cast<std::uint64_t>(r.probes) << 32) |
+                       (r.fallback ? std::uint64_t{1} << 63 : 0)));
+  return hash::mix64(x ^ r.position);
+}
 
 /// One concurrently-served lookup, replayable: `generation` names the
 /// exact published configuration it was answered from.
@@ -112,7 +125,6 @@ struct WriterOp {
 struct LiveStats {
   std::uint64_t lookups = 0;
   std::uint64_t batches = 0;
-  core::PlacementCache::Stats cache;  ///< summed across readers
 };
 
 struct ServeResult {
@@ -120,6 +132,9 @@ struct ServeResult {
   double seconds = 0.0;  ///< measured serving wall time
   std::uint64_t lookups = 0;
   double lookups_per_second = 0.0;
+  /// Readers keep no cache: every lookup is computed, so this always
+  /// reads hits 0, misses == lookups, invalidations 0, revalidated 0.
+  /// Kept so cache-shaped consumers see the honest all-miss numbers.
   core::PlacementCache::Stats cache;
   /// Per-lookup latency derived from per-batch timing (ns).
   double mean_ns = 0.0;
@@ -134,8 +149,10 @@ struct ServeResult {
   std::uint64_t snapshots_freed = 0;
   std::size_t snapshots_pending = 0;  ///< retired, not yet reclaimed
   std::uint64_t final_generation = 0;
-  /// Order-independent fold of every served result (XOR of per-reader
-  /// mix64 chains): two runs serving the same answers agree on it.
+  /// Order-independent fold of every served result: the wrapping sum,
+  /// over every lookup of every reader, of that answer's own mix64
+  /// fold. Two runs serving the same multiset of answers agree on it,
+  /// and (unlike XOR) repeated identical answers do not cancel.
   std::uint64_t digest = 0;
   std::size_t samples = 0;
 };
@@ -180,7 +197,7 @@ class LookupService {
   ServeResult run();
 
   /// Any-thread progress probe; safe while readers are running (the
-  /// per-reader counters and cache stats are single-writer atomics).
+  /// per-reader counters are single-writer atomics).
   [[nodiscard]] LiveStats live_stats() const;
 
   [[nodiscard]] bool running() const noexcept {
@@ -204,13 +221,8 @@ class LookupService {
   /// Everything one reader thread owns, cache-line padded so neighbours
   /// never false-share the hot counters.
   struct alignas(64) ReaderState {
-    ReaderState(std::uint64_t stream_seed, std::size_t cache_capacity,
-                std::uint32_t batch_size)
-        : cache(cache_capacity),
-          rng(stream_seed),
-          batch_fps(batch_size),
-          batch_results(batch_size) {}
-    core::PlacementCache cache;
+    ReaderState(std::uint64_t stream_seed, std::uint32_t batch_size)
+        : rng(stream_seed), batch_fps(batch_size), batch_results(batch_size) {}
     sim::Xoshiro256 rng;
     /// run_batch staging, preallocated so the hot path never allocates
     /// (H1): the batch's drawn fingerprints and their batched answers.
@@ -227,17 +239,18 @@ class LookupService {
 
   void writer_loop();
   void reader_loop(std::size_t idx);
-  /// The serving hot path: `n` cached lookups against the pinned
-  /// snapshot's map — drawn into preallocated staging, resolved with one
-  /// batched cache.locate_many sweep, then digest-folded in draw order
-  /// (bit-identical to the per-lookup loop: the rng drives only the
-  /// draws, and locate_many preserves per-element results, counters, and
-  /// cache state). Allocation/lock/sleep-free by rule H1
+  /// The serving hot path: `n` lookups against the pinned snapshot's
+  /// map — drawn into preallocated staging, computed with one
+  /// map.locate_many sweep, then digest-folded. Each answer folds on its
+  /// own and the folds are summed, so there is no serial dependency
+  /// chain across the batch. Allocation/lock/sleep-free by rule H1
   /// (tools/anufs_lint.py walks its call graph).
   ANUFS_HOT void run_batch(ReaderState& r, const core::PlacementMap& map,
                            std::uint32_t n);
-  /// Off the hot path: one extra validated lookup recorded for replay.
-  ANUFS_COLD void record_sample(ReaderState& r, const Snapshot& snap);
+  /// Off the hot path: record one answer of the `n`-lookup batch
+  /// run_batch just served from `snap`, validated against scalar locate.
+  ANUFS_COLD void record_sample(ReaderState& r, const Snapshot& snap,
+                                std::uint32_t n);
 
   /// Build (and record) the next churn op; returns false when the op
   /// budget is exhausted.

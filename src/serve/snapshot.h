@@ -6,16 +6,16 @@
 // plane operation the writer publishes a Snapshot — a value copy of the
 // PlacementMap plus its generation — through a SnapshotStore. Readers
 // pin an epoch (serve/epoch.h), load the current snapshot pointer, and
-// route any number of lookups against it with their own per-thread
-// PlacementCache; they never block on the control plane and the control
+// compute any number of lookups against it with PlacementMap::
+// locate_many; they never block on the control plane and the control
 // plane never blocks on them. Superseded snapshots are retired into a
 // writer-local list and freed once every reader epoch has advanced past
 // the retirement stamp — "why retired snapshots are safe to free" is
 // the memory-ordering argument in epoch.h (DESIGN.md §6i walks it in
 // prose).
 //
-// Publication correctness leans on the same discipline the placement
-// cache does: rule G1 statically guarantees every RegionMap mutator
+// Publication correctness leans on the generation discipline: rule G1
+// statically guarantees every RegionMap mutator
 // advances the generation, and the mutation hook (RegionMap::
 // set_mutation_hook) marks the live map dirty at each mutator's tail,
 // so publish_if_changed() can (a) skip no-op publishes O(1)-cheaply and

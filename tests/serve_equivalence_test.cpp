@@ -7,10 +7,11 @@
 // AnuSystem driven through the identical op log, and the LocateResult
 // must be bit-identical in all four fields (server, probes, fallback,
 // position). This is the serving analogue of the placement-cache
-// property test: the epoch/snapshot machinery and the per-reader caches
-// may change WHEN a lookup computes, never WHAT it computes.
+// property test: the epoch/snapshot machinery and the batched sweep may
+// change WHEN a lookup computes, never WHAT it computes.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 
 #include "core/anu_system.h"
@@ -85,19 +86,34 @@ TEST(ServeEquivalenceTest, OpLogReplayWalksIdenticalGenerations) {
   }
 }
 
-TEST(ServeEquivalenceTest, CacheAccountingIsExact) {
-  LookupService service(property_config(/*seed=*/9));
-  const ServeResult result = service.run();
-  // Every lookup went through a reader's PlacementCache: batch lookups
-  // plus one extra per recorded sample, nothing else. Exactness here is
-  // the single-writer counter claim — no increment was lost despite
-  // concurrent live_stats() harvesting being legal throughout.
-  EXPECT_EQ(result.cache.hits + result.cache.misses,
-            result.lookups + result.samples);
-  EXPECT_GT(result.cache.hits, 0u);
-  // Churn happened, so at least one epoch change was observed, and
-  // scoped revalidation did some of its cheap saves.
-  EXPECT_GT(result.cache.invalidations, 0u);
+TEST(ServeEquivalenceTest, LookupAccountingIsExact) {
+  // Every lookup is one element of a served batch, and every sample is
+  // one answer of a sampled batch: nothing is looked up on the side.
+  ServeConfig every = property_config(/*seed=*/9);
+  every.max_samples_per_reader = std::size_t{1} << 30;  // never binds
+  LookupService uncapped(every);
+  const ServeResult result = uncapped.run();
+  const LiveStats live = uncapped.live_stats();
+  EXPECT_EQ(result.lookups, live.batches * every.batch_size);
+  // sample_every_batches_log2 == 0: one sample per batch.
+  EXPECT_EQ(result.samples, live.batches);
+  // No reader cache: every lookup is computed.
+  EXPECT_EQ(result.cache.hits, 0u);
+  EXPECT_EQ(result.cache.misses, result.lookups);
+
+  // Every 4th batch, capped at 5 per reader: each reader serves at least
+  // min_batches = 24 batches, i.e. at least 6 sampled ones, so the cap
+  // binds exactly.
+  ServeConfig capped = property_config(/*seed=*/9);
+  capped.sample_every_batches_log2 = 2;
+  capped.max_samples_per_reader = 5;
+  LookupService service(capped);
+  const ServeResult capped_result = service.run();
+  EXPECT_EQ(capped_result.lookups,
+            service.live_stats().batches * capped.batch_size);
+  EXPECT_EQ(capped_result.samples,
+            std::size_t{capped.threads} * capped.max_samples_per_reader);
+  EXPECT_TRUE(service.check_equivalence().ok());
 }
 
 TEST(ServeEquivalenceTest, FaultPlanMembershipEventsEnterTheOpLog) {

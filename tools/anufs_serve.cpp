@@ -5,12 +5,13 @@
 //   ./anufs_serve --threads 4 --seconds 1 --faults plan.flt
 //   ./anufs_serve --threads 2 --seconds 1 --metrics serve.metrics.json
 //
-// N reader threads issue locate() against epoch-pinned immutable
-// placement snapshots while one writer thread churns the control plane
-// (retunes, failures, commissions) on the live AnuSystem, publishing a
-// fresh snapshot after every mutation. Readers never block on the
-// control plane; the writer never waits for readers (src/serve has the
-// epoch/snapshot protocol, DESIGN.md §6i the design notes).
+// N reader threads compute batches of lookups with locate_many against
+// epoch-pinned immutable placement snapshots (no per-reader cache:
+// every answer is computed) while one writer thread churns the control
+// plane (retunes, failures, commissions) on the live AnuSystem,
+// publishing a fresh snapshot after every mutation. Readers never block
+// on the control plane; the writer never waits for readers (src/serve
+// has the epoch/snapshot protocol, DESIGN.md §6i the design notes).
 //
 // --check replays the recorded control-plane log sequentially on a
 // fresh system and requires every concurrently-served sample to be
@@ -51,10 +52,13 @@ void usage(const char* argv0) {
       << "  --quiet            print only the one-line summary\n";
 }
 
-[[nodiscard]] double non_negative(const char* flag, const char* arg) {
-  const double v = anufs::flag_value<double>(flag, arg);
-  if (v < 0.0) {
-    std::cerr << flag << ": bad value '" << arg << "' (expected >= 0)\n";
+/// flag_value, additionally rejecting values below `min` (exit 2).
+template <typename T>
+[[nodiscard]] T at_least(const char* flag, const char* arg, T min) {
+  const T v = anufs::flag_value<T>(flag, arg);
+  if (v < min) {
+    std::cerr << flag << ": bad value '" << arg << "' (expected >= " << min
+              << ")\n";
     std::exit(2);
   }
   return v;
@@ -78,20 +82,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      config.threads = anufs::flag_value<std::uint32_t>("--threads", next());
+      config.threads = at_least<std::uint32_t>("--threads", next(), 1);
     } else if (arg == "--seconds") {
-      config.seconds = non_negative("--seconds", next());
+      config.seconds = at_least("--seconds", next(), 0.0);
     } else if (arg == "--ops") {
       config.writer_ops = anufs::flag_value<std::uint64_t>("--ops", next());
     } else if (arg == "--ops-per-second") {
-      config.writer_ops_per_second = non_negative("--ops-per-second", next());
+      config.writer_ops_per_second = at_least("--ops-per-second", next(), 0.0);
     } else if (arg == "--servers") {
-      config.n_servers = anufs::flag_value<std::uint32_t>("--servers", next());
+      config.n_servers = at_least<std::uint32_t>("--servers", next(), 2);
     } else if (arg == "--file-sets") {
-      config.file_sets =
-          anufs::flag_value<std::uint32_t>("--file-sets", next());
+      config.file_sets = at_least<std::uint32_t>("--file-sets", next(), 1);
     } else if (arg == "--batch") {
-      config.batch_size = anufs::flag_value<std::uint32_t>("--batch", next());
+      config.batch_size = at_least<std::uint32_t>("--batch", next(), 1);
     } else if (arg == "--seed") {
       config.seed = anufs::flag_value<std::uint64_t>("--seed", next());
     } else if (arg == "--faults") {
@@ -122,10 +125,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serve: %u threads, %.3f s, %llu lookups, %.2fM lookups/s, "
-      "hit_rate %.4f, %llu ops, %llu snapshots, gen %llu\n",
+      "%llu ops, %llu snapshots, gen %llu\n",
       result.threads, result.seconds,
       static_cast<unsigned long long>(result.lookups),
-      result.lookups_per_second / 1e6, result.cache.hit_rate(),
+      result.lookups_per_second / 1e6,
       static_cast<unsigned long long>(result.ops_applied),
       static_cast<unsigned long long>(result.snapshots_published),
       static_cast<unsigned long long>(result.final_generation));
@@ -134,13 +137,6 @@ int main(int argc, char** argv) {
         "  latency/lookup: mean %.1f ns, p50 %.1f ns, p99 %.1f ns "
         "(per-batch timing, batch %u)\n",
         result.mean_ns, result.p50_ns, result.p99_ns, batch);
-    std::printf(
-        "  cache: %llu hits, %llu misses, %llu invalidations, "
-        "%llu revalidated\n",
-        static_cast<unsigned long long>(result.cache.hits),
-        static_cast<unsigned long long>(result.cache.misses),
-        static_cast<unsigned long long>(result.cache.invalidations),
-        static_cast<unsigned long long>(result.cache.revalidated));
     std::printf(
         "  snapshots: %llu published, %llu freed, %zu pending; "
         "%zu samples recorded; digest %016llx\n",
