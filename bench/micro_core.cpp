@@ -20,7 +20,9 @@
 #include "serve/snapshot.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
+#include "workload/dfstrace_like.h"
 #include "workload/spec.h"
+#include "workload/synthetic.h"
 
 namespace {
 
@@ -351,6 +353,36 @@ void BM_JiqRebalance(benchmark::State& state) {
   bench_zoo_rebalance<policy::JoinIdleQueuePolicy, policy::JiqConfig>(state);
 }
 BENCHMARK(BM_JiqRebalance)->Arg(5)->Arg(64);
+
+// -------- workload construction (src/workload) --------
+
+/// The setup cost every simulated run pays before its first event:
+/// drawing the request timeline and putting it in time order. Arg 0 is
+/// the paper's synthetic workload (500 sets, ~100k requests), arg 1 the
+/// DFSTrace-like hour (21 sets, ~113k requests). Each iteration draws a
+/// fresh seed.
+void BM_WorkloadBuild(benchmark::State& state) {
+  const bool dfstrace = state.range(0) == 1;
+  std::uint64_t seed = 1;
+  std::int64_t requests = 0;
+  for (auto _ : state) {
+    workload::Workload w;
+    if (dfstrace) {
+      workload::DfsTraceLikeConfig config;
+      config.seed = seed++;
+      w = workload::make_dfstrace_like(config);
+    } else {
+      workload::SyntheticConfig config;
+      config.seed = seed++;
+      w = workload::make_synthetic(config);
+    }
+    benchmark::DoNotOptimize(w.requests.data());
+    requests += static_cast<std::int64_t>(w.request_count());
+  }
+  state.SetItemsProcessed(requests);
+  state.SetLabel(dfstrace ? "dfstrace_like" : "synthetic");
+}
+BENCHMARK(BM_WorkloadBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The observability layer's overhead contract (src/obs/trace.h): with
 // no sink installed a trace site is one thread-local load and a null

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "sim/distributions.h"
 #include "sim/random.h"
+#include "workload/time_order.h"
 
 namespace anufs::workload {
 
@@ -61,7 +63,9 @@ Workload make_dfstrace_like(const DfsTraceLikeConfig& config) {
       static_cast<double>(config.total_requests) /
       (expected_scale * epoch_len);
 
-  // Piecewise-homogeneous Poisson arrivals per set.
+  // Piecewise-homogeneous Poisson arrivals per set, then a merge by time.
+  w.requests.reserve(
+      poisson_capacity(static_cast<double>(config.total_requests)));
   for (std::uint32_t i = 0; i < config.file_sets; ++i) {
     sim::Xoshiro256 rng = sim::make_stream(config.seed, "dfs.set", i);
     for (std::uint32_t e = 0; e < epochs; ++e) {
@@ -78,10 +82,8 @@ Workload make_dfstrace_like(const DfsTraceLikeConfig& config) {
       }
     }
   }
-  std::sort(w.requests.begin(), w.requests.end(),
-            [](const RequestEvent& a, const RequestEvent& b) {
-              return a.time < b.time;
-            });
+  order_by_time(std::span(w.requests), config.duration,
+                [](const RequestEvent& r) { return r.time; });
   w.validate();
   return w;
 }

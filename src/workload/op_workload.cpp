@@ -1,12 +1,15 @@
 #include "workload/op_workload.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "common/check.h"
 #include "sim/distributions.h"
 #include "sim/random.h"
+#include "workload/time_order.h"
 
 namespace anufs::workload {
 
@@ -275,10 +278,9 @@ OpWorkloadResult make_op_workload(const OpWorkloadConfig& config) {
 
   // Sort requests (and kinds) into global time order.
   std::vector<std::size_t> order(result.workload.requests.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return result.workload.requests[a].time <
-           result.workload.requests[b].time;
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  order_by_time(std::span(order), config.duration, [&](std::size_t i) {
+    return result.workload.requests[i].time;
   });
   std::vector<RequestEvent> sorted_requests;
   std::vector<fsmeta::OpKind> sorted_kinds;

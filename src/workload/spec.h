@@ -47,7 +47,10 @@ struct RequestEvent {
 struct Workload {
   std::string name;
   std::vector<FileSetSpec> file_sets;   ///< indexed by FileSetId
-  std::vector<RequestEvent> requests;   ///< sorted by time
+  /// Sorted by time. The generators break exact-time ties by
+  /// generation order: file set id, then arrival order within the set
+  /// (workload/time_order.h keeps that order stable).
+  std::vector<RequestEvent> requests;
   sim::SimTime duration = 0.0;
 
   [[nodiscard]] std::size_t request_count() const noexcept {

@@ -1,16 +1,18 @@
 #include "workload/synthetic.h"
 
-#include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/check.h"
 #include "sim/distributions.h"
 #include "sim/random.h"
+#include "workload/time_order.h"
 
 namespace anufs::workload {
 
 Workload make_synthetic(const SyntheticConfig& config) {
   ANUFS_EXPECTS(config.file_sets > 0);
+  ANUFS_EXPECTS(config.total_requests > 0);
   ANUFS_EXPECTS(config.duration > 0.0);
   ANUFS_EXPECTS(config.demand_hi_exp >= config.demand_lo_exp);
 
@@ -44,6 +46,8 @@ Workload make_synthetic(const SyntheticConfig& config) {
   // of how many sets exist.
   const double total_rate =
       static_cast<double>(config.total_requests) / config.duration;
+  w.requests.reserve(
+      poisson_capacity(static_cast<double>(config.total_requests)));
   for (std::uint32_t i = 0; i < config.file_sets; ++i) {
     const double rate = total_rate * (rate_shape[i] / shape_sum);
     sim::Xoshiro256 rng = sim::make_stream(config.seed, "synthetic.set", i);
@@ -55,10 +59,8 @@ Workload make_synthetic(const SyntheticConfig& config) {
       t += sim::sample_exponential(rng, rate);
     }
   }
-  std::sort(w.requests.begin(), w.requests.end(),
-            [](const RequestEvent& a, const RequestEvent& b) {
-              return a.time < b.time;
-            });
+  order_by_time(std::span(w.requests), config.duration,
+                [](const RequestEvent& r) { return r.time; });
   w.validate();
   return w;
 }

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+
+#include "hash/mix64.h"
+#include "request_digest.h"
 
 namespace anufs::workload {
 namespace {
@@ -36,6 +40,19 @@ TEST(OpWorkload, Deterministic) {
     EXPECT_EQ(a.workload.requests[i].demand, b.workload.requests[i].demand);
     EXPECT_EQ(a.kinds[i], b.kinds[i]);
   }
+}
+
+// Pinned output, recorded before the time ordering became a stable
+// distribution pass: the request stream and the op kinds aligned with it.
+TEST(OpWorkload, PinnedOutput) {
+  const OpWorkloadResult r = make_op_workload(small_config());
+  EXPECT_EQ(r.workload.request_count(), 4022u);
+  EXPECT_EQ(request_digest(r.workload.requests), 0x3bfbb6a2a2dbbb35u);
+  std::uint64_t kinds = r.kinds.size();
+  for (const fsmeta::OpKind kind : r.kinds) {
+    kinds = hash::mix64(kinds ^ static_cast<std::uint64_t>(kind));
+  }
+  EXPECT_EQ(kinds, 0x6b93ecc66b14fa58u);
 }
 
 TEST(OpWorkload, DemandsComeFromExecution) {
