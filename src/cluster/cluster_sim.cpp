@@ -1,6 +1,7 @@
 #include "cluster/cluster_sim.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "obs/trace.h"
@@ -37,6 +38,7 @@ ClusterSim::ClusterSim(ClusterConfig config,
       movement_(config_.movement, config_.seed),
       san_(sched_),
       san_rng_(sim::make_stream(config_.seed, "san")),
+      unavailable_until_(workload_.file_sets.size(), sim::kTimeZero),
       collector_(config_.net.collection),
       net_rng_(sim::make_stream(config_.seed, "net")) {
   ANUFS_EXPECTS(!config_.server_speeds.empty());
@@ -143,45 +145,40 @@ void ClusterSim::arrive(std::size_t index) {
   const workload::RequestEvent& r = workload_.requests[index];
   // The issuing client blocks on metadata from this instant.
   if (config_.san.enabled) san_.on_metadata_issued();
+  if (config_.routing.model_staleness && forward_if_stale(index)) return;
+  deliver(r.file_set, r.demand, r.time, index);
+}
 
-  // Routing staleness: a client whose mapping predates the last
-  // reconfiguration sends to the previous owner, which re-hashes the
-  // name and forwards after the forwarding work clears its queue.
-  bool forwarded = false;
-  if (config_.routing.model_staleness) {
-    const auto stale = stale_.find(r.file_set);
-    if (stale != stale_.end()) {
-      if (sched_.now() >= stale->second.second) {
-        stale_.erase(stale);  // mapping has propagated
-      } else if (node(stale->second.first).alive()) {
-        ++result_.forwarded;
-        forwarded = true;
-        // The request is now "between servers": if the forwarder
-        // crashes while it queues, or the hop lands past the horizon,
-        // the ledger still accounts for it (in_transit_at_end).
-        ++in_transit_;
-        const FileSetId fs = r.file_set;
-        const double demand = r.demand;
-        const sim::SimTime arrival = r.time;
-        node(stale->second.first)
-            .stall_then(config_.routing.forward_demand,
-                        [this, fs, demand, arrival, index] {
-                          sched_.schedule_in(
-                              config_.routing.forward_hop,
-                              [this, fs, demand, arrival, index] {
-                                --in_transit_;
-                                deliver(fs, demand, arrival, index);
-                              });
-                        });
-      }
-    }
+bool ClusterSim::forward_if_stale(std::size_t index) {
+  // A client whose mapping predates the last reconfiguration sends to
+  // the previous owner, which re-hashes the name and forwards after the
+  // forwarding work clears its queue.
+  const workload::RequestEvent& r = workload_.requests[index];
+  const auto stale = stale_.find(r.file_set);
+  if (stale == stale_.end()) return false;
+  if (sched_.now() >= stale->second.second) {
+    stale_.erase(stale);  // mapping has propagated
+    return false;
   }
-  if (!forwarded) deliver(r.file_set, r.demand, r.time, index);
-
-  if (index + 1 < workload_.requests.size()) {
-    sched_.schedule_at(workload_.requests[index + 1].time,
-                       [this, index] { arrive(index + 1); });
-  }
+  if (!node(stale->second.first).alive()) return false;
+  ++result_.forwarded;
+  // The request is now "between servers": if the forwarder crashes while
+  // it queues, or the hop lands past the horizon, the ledger still
+  // accounts for it (in_transit_at_end).
+  ++in_transit_;
+  const FileSetId fs = r.file_set;
+  const double demand = r.demand;
+  const sim::SimTime arrival = r.time;
+  node(stale->second.first)
+      .stall_then(config_.routing.forward_demand,
+                  [this, fs, demand, arrival, index] {
+                    sched_.schedule_in(config_.routing.forward_hop,
+                                       [this, fs, demand, arrival, index] {
+                                         --in_transit_;
+                                         deliver(fs, demand, arrival, index);
+                                       });
+                  });
+  return true;
 }
 
 void ClusterSim::deliver(FileSetId fs, double demand,
@@ -189,20 +186,24 @@ void ClusterSim::deliver(FileSetId fs, double demand,
                          std::size_t op_index) {
   // Requests for a file set in flight between servers are held and
   // replayed when the move completes.
-  const auto it = unavailable_until_.find(fs);
-  if (it != unavailable_until_.end() && sched_.now() < it->second) {
-    held_[fs].push_back(HeldRequest{original_arrival, demand, op_index});
-    ++held_count_;
+  if (sched_.now() < unavailable_until_[fs.value]) {
+    hold(fs, demand, original_arrival, op_index);
   } else {
     route(fs, demand, original_arrival, op_index);
   }
 }
 
+void ClusterSim::hold(FileSetId fs, double demand,
+                      sim::SimTime original_arrival, std::size_t op_index) {
+  held_[fs].push_back(HeldRequest{original_arrival, demand, op_index});
+  ++held_count_;
+}
+
 void ClusterSim::route(FileSetId fs, double demand,
                        sim::SimTime original_arrival,
                        std::size_t op_index) {
-  const ServerId owner = policy_.owner(fs);
-  if (!node(owner).alive()) {
+  ServerNode& owner = node(policy_.owner(fs));
+  if (!owner.alive()) {
     // The owner crashed but the failure has not been declared yet: the
     // client's request times out and is lost.
     ANUFS_ENSURES(config_.detector.enabled);
@@ -211,28 +212,32 @@ void ClusterSim::route(FileSetId fs, double demand,
     return;
   }
   if (backing_ != nullptr) {
-    // Executing-server mode: the demand is whatever the typed
-    // operation costs when it reaches the head of the queue (cold
-    // cache still applies, consumed once per served request).
-    node(owner).submit_deferred(
-        fs,
-        [this, fs, op_index] {
-          return backing_->execute_op(op_index) *
-                 movement_.demand_multiplier(fs);
-        },
-        original_arrival);
+    submit_executing(owner, fs, original_arrival, op_index);
     return;
   }
   // Cold-cache penalty is consumed per actually-served request.
   const double effective = demand * movement_.demand_multiplier(fs);
-  node(owner).submit(fs, effective, original_arrival);
+  owner.submit(fs, effective, original_arrival);
+}
+
+void ClusterSim::submit_executing(ServerNode& owner, FileSetId fs,
+                                  sim::SimTime original_arrival,
+                                  std::size_t op_index) {
+  // The demand is whatever the typed operation costs when it reaches the
+  // head of the queue (cold cache still applies, consumed once per
+  // served request).
+  owner.submit_deferred(
+      fs,
+      [this, fs, op_index] {
+        return backing_->execute_op(op_index) *
+               movement_.demand_multiplier(fs);
+      },
+      original_arrival);
 }
 
 void ClusterSim::drain_held(FileSetId fs) {
-  const auto until = unavailable_until_.find(fs);
-  if (until != unavailable_until_.end()) {
-    if (sched_.now() < until->second) return;  // a later move superseded
-    unavailable_until_.erase(until);
+  if (sched_.now() < unavailable_until_[fs.value]) {
+    return;  // a later move superseded
   }
   const auto it = held_.find(fs);
   if (it == held_.end()) return;
@@ -320,7 +325,7 @@ void ClusterSim::apply_moves(const std::vector<policy::Move>& moves,
     if (node(m.to).alive()) node(m.to).stall(acquire_stall);
     const sim::SimTime ready = sched_.now() + transit;
     last_ready = std::max(last_ready, ready);
-    auto& until = unavailable_until_[m.file_set];
+    sim::SimTime& until = unavailable_until_[m.file_set.value];
     until = std::max(until, ready);
     sched_.schedule_at(ready,
                        [this, fs = m.file_set] { drain_held(fs); });
@@ -430,10 +435,12 @@ RunResult ClusterSim::run() {
     result_.latency_ms.at(server_label(ServerId{i})).reserve(expected_points);
   }
   sched_.reserve(256);
-  if (!workload_.requests.empty()) {
-    sched_.schedule_at(workload_.requests.front().time,
-                       [this] { arrive(0); });
-  }
+  // Arrival 0 takes its sequence number here, after the membership and
+  // fault events installed before run() and before the first
+  // reconfiguration and detector sweep.
+  sched_.merge_arrivals(
+      std::span<const workload::RequestEvent>(workload_.requests),
+      &workload::RequestEvent::time, [this](std::size_t i) { arrive(i); });
   if (config_.reconfig_period <= workload_.duration) {
     sched_.schedule_at(config_.reconfig_period, [this] { reconfigure(); });
   }

@@ -18,6 +18,7 @@
 #include "cluster/san.h"
 #include "cluster/server_node.h"
 #include "cluster/typed_backing.h"
+#include "common/attributes.h"
 #include "core/collection.h"
 #include "common/ids.h"
 #include "metrics/series.h"
@@ -218,12 +219,24 @@ class ClusterSim {
     std::size_t op_index;  // aligned with the workload (backing mode)
   };
 
-  void arrive(std::size_t index);
+  /// Request `index` of the workload arrives (fired by the scheduler's
+  /// merged arrival stream).
+  ANUFS_HOT void arrive(std::size_t index);
+  /// Routing staleness: forward the request through its previous owner
+  /// if the client's mapping predates the set's last move. Returns true
+  /// when it did.
+  ANUFS_COLD bool forward_if_stale(std::size_t index);
   /// Deliver to the correct owner, holding while the set is in transit.
-  void deliver(FileSetId fs, double demand, sim::SimTime original_arrival,
-               std::size_t op_index);
-  void route(FileSetId fs, double demand, sim::SimTime original_arrival,
-             std::size_t op_index);
+  ANUFS_HOT void deliver(FileSetId fs, double demand,
+                         sim::SimTime original_arrival, std::size_t op_index);
+  ANUFS_COLD void hold(FileSetId fs, double demand,
+                       sim::SimTime original_arrival, std::size_t op_index);
+  ANUFS_HOT void route(FileSetId fs, double demand,
+                       sim::SimTime original_arrival, std::size_t op_index);
+  /// Executing-server mode: queue the typed operation at `owner`.
+  ANUFS_COLD void submit_executing(ServerNode& owner, FileSetId fs,
+                                   sim::SimTime original_arrival,
+                                   std::size_t op_index);
   void reconfigure();
   void apply_moves(const std::vector<policy::Move>& moves,
                    MoveReason reason);
@@ -244,8 +257,9 @@ class ClusterSim {
   // an ordered-map walk. Index order == id order, so iteration remains
   // deterministic; a null slot is an id never commissioned.
   std::vector<std::unique_ptr<ServerNode>> nodes_;
-  // Movement-in-progress bookkeeping.
-  std::unordered_map<FileSetId, sim::SimTime> unavailable_until_;
+  // Movement-in-progress bookkeeping. Dense by FileSetId.value, like the
+  // policy's owner table: a set is held until this time (0: never moved).
+  std::vector<sim::SimTime> unavailable_until_;
   std::unordered_map<FileSetId, std::vector<HeldRequest>> held_;
   // Requests currently held across all file sets. Maintained
   // incrementally so the end-of-run conservation ledger never iterates

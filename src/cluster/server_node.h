@@ -3,9 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <optional>
 #include <vector>
 
+#include "common/attributes.h"
 #include "common/check.h"
 #include "common/ids.h"
 #include "sim/interval_stats.h"
@@ -20,7 +22,13 @@ class ServerNode {
       std::function<void(FileSetId, const sim::JobCompletion&)>;
 
   ServerNode(sim::Scheduler& sched, ServerId id, double speed)
-      : id_(id), base_speed_(speed), fifo_(sched, speed) {}
+      : id_(id),
+        base_speed_(speed),
+        fifo_(sched, speed,
+              [this](const sim::JobCompletion& c) { on_complete(c); }) {}
+
+  ServerNode(const ServerNode&) = delete;
+  ServerNode& operator=(const ServerNode&) = delete;
 
   [[nodiscard]] ServerId id() const noexcept { return id_; }
   [[nodiscard]] double speed() const noexcept { return fifo_.speed(); }
@@ -50,18 +58,11 @@ class ServerNode {
   /// Submit one metadata request for file set `fs`; latency is recorded
   /// into the interval accumulator on completion. `arrival` backdates
   /// requests held during file-set movement.
-  void submit(FileSetId fs, double demand,
-              std::optional<sim::SimTime> arrival = std::nullopt) {
+  ANUFS_HOT void submit(FileSetId fs, double demand,
+                        std::optional<sim::SimTime> arrival = std::nullopt) {
     ANUFS_EXPECTS(alive_);
     ++submitted_;
-    fifo_.submit(demand, fs.value, [this, fs](const sim::JobCompletion& c) {
-      const sim::SimDuration lat = c.latency();
-      interval_.record(lat);
-      ++completed_;
-      latency_sum_ += lat;
-      if (record_samples_) samples_.push_back(lat);
-      if (hook_) hook_(fs, c);
-    }, arrival);
+    fifo_.submit(demand, fs.value, arrival);
   }
 
   /// CPU stall (flush/init work during file-set movement).
@@ -76,17 +77,7 @@ class ServerNode {
                        std::optional<sim::SimTime> arrival = std::nullopt) {
     ANUFS_EXPECTS(alive_);
     ++submitted_;
-    fifo_.submit_deferred(
-        std::move(demand_fn), fs.value,
-        [this, fs](const sim::JobCompletion& c) {
-          const sim::SimDuration lat = c.latency();
-          interval_.record(lat);
-          ++completed_;
-          latency_sum_ += lat;
-          if (record_samples_) samples_.push_back(lat);
-          if (hook_) hook_(fs, c);
-        },
-        arrival);
+    fifo_.submit_deferred(std::move(demand_fn), fs.value, arrival);
   }
 
   /// FIFO-ordered stall with a completion callback — used for request
@@ -135,6 +126,16 @@ class ServerNode {
   }
 
  private:
+  // The FIFO's completion sink; the job tag is the file set id.
+  void on_complete(const sim::JobCompletion& c) {
+    const sim::SimDuration lat = c.latency();
+    interval_.record(lat);
+    ++completed_;
+    latency_sum_ += lat;
+    if (record_samples_) samples_.push_back(lat);
+    if (hook_) hook_(FileSetId{static_cast<std::uint32_t>(c.tag)}, c);
+  }
+
   ServerId id_;
   double base_speed_;
   sim::FifoServer fifo_;

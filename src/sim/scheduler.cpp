@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <cstring>
 #include <utility>
 
 #include "obs/trace.h"
@@ -69,7 +70,15 @@ void Scheduler::maybe_compact() {
   std::erase_if(heap_, [this](const Entry& e) { return is_tombstone(e); });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   tombstones_ = 0;
-  heap_.shrink_to_fit();
+  // Give back what the tombstones held, but never the capacity reserve()
+  // set up: schedule_at's no-allocation steady state depends on it.
+  const std::size_t keep = std::max(heap_.size(), reserved_);
+  if (heap_.capacity() > keep) {
+    std::vector<Entry> fitted;
+    fitted.reserve(keep);
+    fitted.assign(heap_.begin(), heap_.end());
+    heap_.swap(fitted);
+  }
   ++stats_.compactions;
 }
 
@@ -83,8 +92,37 @@ bool Scheduler::skip_cancelled() {
   return false;
 }
 
-bool Scheduler::step() {
-  if (!skip_cancelled()) return false;
+void Scheduler::merge_arrival_stream(const std::byte* first_time,
+                                     std::size_t stride, std::size_t count,
+                                     ArrivalFn fire) {
+  ANUFS_EXPECTS(!arrivals_left());
+  ANUFS_EXPECTS(count == 0 || fire != nullptr);
+  arrival_cursor_ = first_time;
+  arrival_stride_ = stride;
+  arrival_next_ = 0;
+  arrival_count_ = count;
+  arrival_fire_ = std::move(fire);
+  if (count == 0) return;
+  std::memcpy(&arrival_time_, arrival_cursor_, sizeof arrival_time_);
+  ANUFS_EXPECTS(arrival_time_ >= now_);
+  arrival_seq_ = next_seq_++;
+}
+
+void Scheduler::fire_arrival() {
+  ANUFS_ENSURES(arrival_time_ >= now_);
+  now_ = arrival_time_;
+  ++stats_.fired;
+  arrival_fire_(arrival_next_);
+  // The number a handler rescheduling the next arrival on return would
+  // have drawn, so ties with calendar events keep that order.
+  if (++arrival_next_ < arrival_count_) {
+    arrival_cursor_ += arrival_stride_;
+    std::memcpy(&arrival_time_, arrival_cursor_, sizeof arrival_time_);
+    arrival_seq_ = next_seq_++;
+  }
+}
+
+void Scheduler::fire_top() {
   const Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
@@ -103,6 +141,17 @@ bool Scheduler::step() {
   free_slots_.push_back(top.slot);
   ++stats_.fired;
   fn();
+}
+
+bool Scheduler::step() {
+  const bool have_event = skip_cancelled();
+  if (arrival_leads(have_event)) {
+    fire_arrival();
+  } else if (have_event) {
+    fire_top();
+  } else {
+    return false;
+  }
   return true;
 }
 
@@ -113,8 +162,16 @@ void Scheduler::run() {
 
 void Scheduler::run_until(SimTime horizon) {
   ANUFS_EXPECTS(horizon >= now_);
-  while (skip_cancelled() && heap_.front().time <= horizon) {
-    step();
+  for (;;) {
+    const bool have_event = skip_cancelled();
+    if (arrival_leads(have_event)) {
+      if (arrival_time_ > horizon) break;
+      fire_arrival();
+    } else if (have_event && heap_.front().time <= horizon) {
+      fire_top();
+    } else {
+      break;
+    }
   }
   now_ = horizon;
 }

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/attributes.h"
@@ -37,6 +39,11 @@ struct EventId {
 /// it, so cancel-heavy workloads stay O(live events) in memory even when
 /// the cancelled entries never surface at the top.
 ///
+/// A time-sorted arrival stream (a workload's request vector) can be
+/// merged into the calendar with merge_arrivals() instead of each arrival
+/// rescheduling the next: the scheduler fires it by index, in (time, seq)
+/// order with the heap, without a heap entry or a pool slot per arrival.
+///
 /// Allocation discipline: handlers live in a slot pool recycled through a
 /// free list, so steady-state operation (schedule -> fire -> schedule)
 /// performs no per-event heap allocation once the pool has grown to the
@@ -48,6 +55,8 @@ struct EventId {
 class Scheduler {
  public:
   using Handler = std::function<void()>;
+  /// Fires arrival `index` of a merged stream (see merge_arrivals).
+  using ArrivalFn = std::function<void(std::size_t index)>;
 
   /// Engine counters, cheap enough to maintain unconditionally. Exposed
   /// so bench binaries can report throughput (events/sec) and tests can
@@ -82,12 +91,16 @@ class Scheduler {
   /// events run.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Number of events scheduled but not yet fired or cancelled.
+  /// Number of events scheduled but not yet fired or cancelled. Merged
+  /// arrivals are not events: they never count here.
   [[nodiscard]] std::size_t pending() const noexcept {
     return heap_.size() - tombstones_;
   }
 
-  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+  /// True when nothing is left to fire: no pending event, no arrival.
+  [[nodiscard]] bool empty() const noexcept {
+    return pending() == 0 && !arrivals_left();
+  }
 
   /// Total events fired so far (useful for progress accounting and tests).
   [[nodiscard]] std::uint64_t fired() const noexcept { return stats_.fired; }
@@ -110,10 +123,31 @@ class Scheduler {
 
   /// Pre-size the calendar and the node pool for an expected peak of
   /// concurrently pending events (optional; the pool grows on demand).
+  /// Compaction never shrinks the calendar below this size.
   void reserve(std::size_t events) {
+    reserved_ = std::max(reserved_, events);
     heap_.reserve(events);
     nodes_.reserve(events);
     free_slots_.reserve(events);
+  }
+
+  /// Merge the arrival stream `records` (sorted by `time`, the first at
+  /// or after now()) into the calendar: `fire(i)` runs at records[i].time.
+  /// Arrivals order with events by (time, seq) exactly as if each
+  /// arrival's handler scheduled the next one on return: arrival 0 draws
+  /// its sequence number here, arrival i+1 draws the next free number
+  /// when fire(i) returns. Arrivals count in Stats::fired but take no
+  /// pool slot and are not pending(). `records` must outlive the run;
+  /// a stream may be merged only once the previous one is exhausted.
+  template <class Record>
+  void merge_arrivals(std::span<const Record> records,
+                      SimTime Record::*time, ArrivalFn fire) {
+    const std::byte* first =
+        records.empty()
+            ? nullptr
+            : reinterpret_cast<const std::byte*>(&(records.front().*time));
+    merge_arrival_stream(first, sizeof(Record), records.size(),
+                         std::move(fire));
   }
 
   /// Schedule `fn` at absolute simulated time `at` (>= now()).
@@ -130,7 +164,7 @@ class Scheduler {
   /// released before this returns.
   ANUFS_HOT bool cancel(EventId id);
 
-  /// Run events until the calendar is empty.
+  /// Run events and arrivals until both are exhausted.
   void run();
 
   /// Run events with time <= horizon, then advance the clock to exactly
@@ -139,8 +173,8 @@ class Scheduler {
   /// horizon.
   void run_until(SimTime horizon);
 
-  /// Fire exactly one event, if any. Returns false when the calendar is
-  /// empty.
+  /// Fire exactly one event or arrival, if any. Returns false when both
+  /// are exhausted.
   ANUFS_HOT bool step();
 
  private:
@@ -172,6 +206,23 @@ class Scheduler {
     return nodes_[e.slot].gen != e.gen;
   }
 
+  [[nodiscard]] bool arrivals_left() const noexcept {
+    return arrival_next_ < arrival_count_;
+  }
+  // True when the next arrival fires before the heap's top entry (which
+  // exists iff `have_event`): the (time, seq) order of one calendar.
+  [[nodiscard]] bool arrival_leads(bool have_event) const noexcept {
+    return arrivals_left() &&
+           (!have_event ||
+            Later{}(heap_.front(), Entry{arrival_time_, arrival_seq_, 0, 0}));
+  }
+  void merge_arrival_stream(const std::byte* first_time, std::size_t stride,
+                            std::size_t count, ArrivalFn fire);
+  // Fires the next arrival, then draws the sequence number of the one
+  // after it.
+  ANUFS_HOT void fire_arrival();
+  // Pops and fires the heap's top entry (which must be live).
+  ANUFS_HOT void fire_top();
   // Pops cancelled entries off the heap top; returns false if drained.
   ANUFS_HOT bool skip_cancelled();
   // Purges tombstones from the whole heap once they dominate it. (time,
@@ -196,6 +247,17 @@ class Scheduler {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t tombstones_ = 0;
+  // Largest reserve(): the floor for the heap's capacity after compaction.
+  std::size_t reserved_ = 0;
+  // The merged arrival stream: a strided view of the records' time
+  // fields, the index, time and sequence number of the next arrival.
+  const std::byte* arrival_cursor_ = nullptr;
+  std::size_t arrival_stride_ = 0;
+  std::size_t arrival_next_ = 0;
+  std::size_t arrival_count_ = 0;
+  SimTime arrival_time_ = kTimeZero;
+  std::uint64_t arrival_seq_ = 0;
+  ArrivalFn arrival_fire_;
 };
 
 }  // namespace anufs::sim

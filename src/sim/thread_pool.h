@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/attributes.h"
 #include "common/thread_safety.h"
 
 namespace anufs::sim {
@@ -40,8 +41,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueue a task. Safe to call from any thread, including from inside
-  /// a running task.
-  void submit(std::function<void()> task);
+  /// a running task. Cold: a sweep submits once per simulated run, never
+  /// from inside one — and anufs-lint resolves calls by name, so without
+  /// the boundary every hot `submit()` of the request path would reach
+  /// this lock.
+  ANUFS_COLD void submit(std::function<void()> task);
 
   /// Block until the queue is empty and every worker is idle.
   void wait_idle();

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "hash/mix64.h"
 #include "policies/anu_policy.h"
 #include "policies/round_robin.h"
 #include "policies/simple_random.h"
@@ -220,6 +224,153 @@ TEST(ClusterSim, LatencySampleRecordingOptIn) {
     for (const double lat : samples) EXPECT_GE(lat, 0.0);
   }
   EXPECT_EQ(total, with.completed);
+}
+
+// Order-sensitive digest of a run's modelled outputs, in the pattern of
+// request_digest.h: every count, time and latency bit, in a fixed order.
+// Engine counters other than `fired` are left out: they describe the
+// calendar's bookkeeping, not the modelled run.
+std::uint64_t run_digest(const RunResult& r) {
+  std::uint64_t h = r.total_requests;
+  const auto fold = [&h](std::uint64_t v) { h = hash::mix64(h ^ v); };
+  const auto fold_time = [&fold](double v) {
+    fold(std::bit_cast<std::uint64_t>(v));
+  };
+  fold(r.completed);
+  fold(r.lost);
+  fold(r.moves);
+  fold(r.crash_moves);
+  fold(r.forwarded);
+  fold(r.queued_at_end);
+  fold(r.held_at_end);
+  fold(r.in_transit_at_end);
+  fold(r.engine.fired);
+  fold_time(r.mean_latency);
+  fold_time(r.san_busy);
+  fold_time(r.san_mean_end_to_end);
+  for (const auto& [t, n] : r.moves_timeline) {
+    fold_time(t);
+    fold(n);
+  }
+  for (const RecoveryEpisode& e : r.recoveries) {
+    fold_time(e.declared_at);
+    fold_time(e.completed_at);
+    fold(e.moves);
+  }
+  for (const auto& [id, n] : r.server_completed) {
+    fold(id);
+    fold(n);
+  }
+  for (const auto& [id, busy] : r.server_busy) {
+    fold(id);
+    fold_time(busy);
+  }
+  for (const std::string& label : r.latency_ms.labels()) {
+    for (const auto& [t, v] : r.latency_ms.at(label).points()) {
+      fold_time(t);
+      fold_time(v);
+    }
+  }
+  for (const auto& [id, samples] : r.latency_samples) {
+    fold(id);
+    for (const double lat : samples) fold_time(lat);
+  }
+  return h;
+}
+
+// Requests on a half-second grid, 1-3 per instant, so they land exactly
+// on every reconfiguration tick (t = k * 20) and, with dyadic demands,
+// speeds, stalls and move costs, on stall completions and move drains.
+workload::Workload tick_aligned_workload(std::uint32_t first_step = 0) {
+  workload::Workload w;
+  w.name = "tick_aligned";
+  w.duration = 200.0;
+  constexpr std::uint32_t kSets = 12;
+  for (std::uint32_t i = 0; i < kSets; ++i) {
+    w.file_sets.push_back(
+        workload::FileSetSpec::make(i, "tick" + std::to_string(i), 1.0));
+  }
+  for (std::uint32_t step = first_step; step < 400; ++step) {
+    for (std::uint32_t j = 0; j <= step % 3; ++j) {
+      const std::uint32_t fs = (step * 7 + j * 5) % kSets;
+      w.requests.push_back(workload::RequestEvent{
+          0.5 * step, FileSetId{fs}, 0.25 * (1 + (step + j) % 4)});
+    }
+  }
+  w.validate();
+  return w;
+}
+
+ClusterConfig tick_aligned_cluster() {
+  ClusterConfig cc;
+  cc.server_speeds = {1, 2, 4};
+  cc.reconfig_period = 20.0;
+  cc.movement.flush_min = cc.movement.flush_max = 2.0;
+  cc.movement.init_min = cc.movement.init_max = 1.0;
+  cc.movement.shed_cpu_stall = 1.0;
+  cc.movement.acquire_cpu_stall = 0.5;
+  cc.movement.cold_requests = 4;
+  cc.record_latency_samples = true;
+  return cc;
+}
+
+// Pinned on the engine that scheduled every arrival as a calendar event:
+// arrivals tied with reconfigurations, membership events, stall
+// completions and move drains must keep their firing order.
+TEST(ClusterSim, TickAlignedRunDigestIsPinned) {
+  const workload::Workload work = tick_aligned_workload();
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  ClusterSim sim(tick_aligned_cluster(), work, policy);
+  sim.schedule_failure(60.0, ServerId{1});
+  sim.schedule_recovery(120.0, ServerId{1});
+  sim.schedule_addition(140.0, ServerId{3}, 2.0);
+  const RunResult result = sim.run();
+  EXPECT_GT(result.moves, 0u);
+  EXPECT_EQ(run_digest(result), 0x074f3077ba52ef8du);
+}
+
+TEST(ClusterSim, TickAlignedStaleRoutingRunDigestIsPinned) {
+  // The same grid with forwarding (stale routes), a silent crash under
+  // the failure detector, and the SAN data path.
+  const workload::Workload work = tick_aligned_workload();
+  ClusterConfig cc = tick_aligned_cluster();
+  cc.routing.model_staleness = true;
+  cc.routing.distribution_delay = 2.0;
+  cc.routing.forward_demand = 0.25;
+  cc.routing.forward_hop = 0.5;
+  cc.detector.enabled = true;
+  cc.detector.sweep_interval = 5.0;
+  cc.detector.timeout = 10.0;
+  cc.san.enabled = true;
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  ClusterSim sim(cc, work, policy);
+  // Crashes between ticks: silent until the detector sweep at t = 75.
+  sim.schedule_failure(65.0, ServerId{2});
+  sim.schedule_recovery(120.0, ServerId{2});
+  const RunResult result = sim.run();
+  EXPECT_GT(result.forwarded, 0u);
+  EXPECT_GT(result.lost, 0u);
+  EXPECT_EQ(run_digest(result), 0x60baeade97eed7b6u);
+}
+
+TEST(ClusterSim, FirstArrivalTiedWithFirstDetectorSweepDigestIsPinned) {
+  // The first request arrives at t = 5 for a set whose owner crashed
+  // silently at t = 0, exactly when the first detector sweep declares
+  // the crash. It was numbered before the sweep, so it reaches the dead
+  // owner and is lost; the requests after it are re-homed.
+  const workload::Workload work = tick_aligned_workload(10);
+  ClusterConfig cc = tick_aligned_cluster();
+  cc.detector.enabled = true;
+  cc.detector.sweep_interval = 5.0;
+  cc.detector.timeout = 5.0;
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  ClusterSim sim(cc, work, policy);
+  const ServerId victim = policy.owner(work.requests.front().file_set);
+  sim.schedule_failure(0.0, victim);
+  sim.schedule_recovery(100.0, victim);
+  const RunResult result = sim.run();
+  EXPECT_EQ(result.lost, 1u);
+  EXPECT_EQ(run_digest(result), 0x0669bd191cd3a1ccu);
 }
 
 TEST(ClusterSimDeathTest, RunTwiceAborts) {

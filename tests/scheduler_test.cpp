@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
+
+#include "counting_new.h"
 
 namespace anufs::sim {
 namespace {
@@ -385,6 +390,185 @@ TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
   EXPECT_EQ(end.pool_free, end.pool_size);
   EXPECT_EQ(end.fired, 40u);
   EXPECT_EQ(end.cancelled, 160u);
+}
+
+TEST(Scheduler, CompactionKeepsReservedCapacity) {
+  // Compaction used to shrink the heap to fit its survivors, discarding
+  // the capacity reserve() set up, so the next burst of schedules
+  // reallocated it.
+  Scheduler sched;
+  sched.reserve(256);
+  std::vector<EventId> ids;
+  ids.reserve(200);
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
+  }
+  for (int i = 0; i < 200; ++i) {
+    if (i % 5 != 0) {
+      EXPECT_TRUE(sched.cancel(ids[static_cast<std::size_t>(i)]));
+    }
+  }
+  ASSERT_GE(sched.stats().compactions, 1u);
+  sched.run();
+  const std::uint64_t before = anufs::testing::allocations();
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    for (int e = 0; e < 200; ++e) {
+      sched.schedule_in(static_cast<double>(e), [] {});
+    }
+    sched.run();
+  }
+  EXPECT_EQ(anufs::testing::allocations(), before);
+  EXPECT_EQ(sched.fired(), 40u + 200u * 200u);
+}
+
+// ---- merged arrival streams ----------------------------------------------
+
+struct Arrival {
+  SimTime time;
+};
+
+// Integer times with 1-3 arrivals per instant, starting at 0: dense ties
+// with each other and with every integer-time calendar event.
+std::vector<Arrival> tied_arrivals(int n) {
+  std::vector<Arrival> out;
+  for (int i = 0; i < n; ++i) out.push_back(Arrival{std::floor(i * 0.4)});
+  return out;
+}
+
+// Runs one scenario and returns its firing log. `wire` connects the
+// arrival stream to the calendar, given the handler for arrival i; it is
+// called between two batches of calendar events, so events scheduled
+// before and after arrival 0 takes its number both tie with arrivals.
+// Arrival handlers schedule at the current instant (ties with the next
+// arrival, whose number is drawn after) and one tick ahead (ties with
+// arrivals whose numbers were drawn before); those events schedule more
+// at their own instant.
+std::vector<int> tie_scenario(
+    const std::function<void(Scheduler&, std::function<void(std::size_t)>)>&
+        wire,
+    double horizon) {
+  Scheduler sched;
+  std::vector<int> log;
+  for (int k = 0; k < 6; ++k) {
+    sched.schedule_at(k * 2.0, [&log, k] { log.push_back(1000 + k); });
+  }
+  wire(sched, [&sched, &log](std::size_t i) {
+    const int id = static_cast<int>(i);
+    log.push_back(id);
+    sched.schedule_in(0.0, [&sched, &log, id] {
+      log.push_back(3000 + id);
+      if (id % 2 == 0) {
+        sched.schedule_in(0.0, [&log, id] { log.push_back(5000 + id); });
+      }
+    });
+    if (id % 3 == 0) {
+      sched.schedule_in(1.0, [&log, id] { log.push_back(4000 + id); });
+    }
+  });
+  for (int k = 0; k < 6; ++k) {
+    sched.schedule_at(k * 3.0, [&log, k] { log.push_back(2000 + k); });
+  }
+  if (horizon < 0.0) {
+    sched.run();
+  } else {
+    sched.run_until(horizon);
+  }
+  log.push_back(static_cast<int>(sched.fired()));
+  return log;
+}
+
+// The reference: each arrival's handler schedules the next arrival as an
+// ordinary calendar event when it returns.
+void wire_self_rescheduling(const std::vector<Arrival>& arrivals,
+                            Scheduler& sched,
+                            std::function<void(std::size_t)> fire) {
+  auto chain = std::make_shared<std::function<void(std::size_t)>>();
+  *chain = [&arrivals, &sched, fire, weak = std::weak_ptr(chain)](
+               std::size_t i) {
+    fire(i);
+    if (i + 1 < arrivals.size()) {
+      sched.schedule_at(arrivals[i + 1].time,
+                        [c = weak.lock(), i] { (*c)(i + 1); });
+    }
+  };
+  sched.schedule_at(arrivals.front().time, [chain] { (*chain)(0); });
+}
+
+void wire_merged(const std::vector<Arrival>& arrivals, Scheduler& sched,
+                 std::function<void(std::size_t)> fire) {
+  sched.merge_arrivals(std::span<const Arrival>(arrivals), &Arrival::time,
+                       std::move(fire));
+}
+
+TEST(Scheduler, MergedArrivalsFireInSelfReschedulingOrder) {
+  const std::vector<Arrival> arrivals = tied_arrivals(40);
+  for (const double horizon : {-1.0, 0.0, 7.0, 9.0, 100.0}) {
+    const auto reference = tie_scenario(
+        [&](Scheduler& s, std::function<void(std::size_t)> fire) {
+          wire_self_rescheduling(arrivals, s, std::move(fire));
+        },
+        horizon);
+    const auto merged = tie_scenario(
+        [&](Scheduler& s, std::function<void(std::size_t)> fire) {
+          wire_merged(arrivals, s, std::move(fire));
+        },
+        horizon);
+    EXPECT_EQ(merged, reference) << "horizon " << horizon;
+  }
+}
+
+TEST(Scheduler, MergedArrivalsAreFiredButTakeNoPoolSlot) {
+  Scheduler sched;
+  const std::vector<Arrival> arrivals{{1.0}, {1.0}, {2.5}};
+  std::vector<std::pair<std::size_t, double>> fired;
+  sched.merge_arrivals(std::span<const Arrival>(arrivals), &Arrival::time,
+                       [&](std::size_t i) { fired.emplace_back(i, sched.now()); });
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_FALSE(sched.empty());
+  EXPECT_TRUE(sched.step());
+  EXPECT_TRUE(sched.step());
+  EXPECT_TRUE(sched.step());
+  EXPECT_FALSE(sched.step());
+  EXPECT_TRUE(sched.empty());
+  EXPECT_EQ(fired, (std::vector<std::pair<std::size_t, double>>{
+                       {0, 1.0}, {1, 1.0}, {2, 2.5}}));
+  const Scheduler::Stats stats = sched.stats();
+  EXPECT_EQ(stats.fired, 3u);
+  EXPECT_EQ(stats.pool_allocated, 0u);
+  EXPECT_EQ(stats.pool_recycled, 0u);
+  EXPECT_EQ(stats.peak_pending, 0u);
+}
+
+TEST(Scheduler, RunUntilStopsMergedArrivalsAtHorizon) {
+  Scheduler sched;
+  const std::vector<Arrival> arrivals{{1.0}, {2.0}, {3.0}};
+  std::vector<std::size_t> fired;
+  sched.merge_arrivals(std::span<const Arrival>(arrivals), &Arrival::time,
+                       [&](std::size_t i) { fired.push_back(i); });
+  sched.run_until(2.0);  // an arrival at the horizon fires
+  EXPECT_EQ(fired, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(sched.now(), 2.0);
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(sched.now(), 3.0);
+}
+
+TEST(Scheduler, EmptyArrivalStreamChangesNothing) {
+  Scheduler sched;
+  const std::vector<Arrival> none;
+  sched.merge_arrivals(std::span<const Arrival>(none), &Arrival::time,
+                       [](std::size_t) { FAIL(); });
+  EXPECT_TRUE(sched.empty());
+  sched.schedule_at(1.0, [] {});
+  sched.run();
+  EXPECT_EQ(sched.fired(), 1u);
+  // Once exhausted, another stream may be merged.
+  const std::vector<Arrival> more{{2.0}};
+  int seen = 0;
+  sched.merge_arrivals(std::span<const Arrival>(more), &Arrival::time,
+                       [&](std::size_t) { ++seen; });
+  sched.run();
+  EXPECT_EQ(seen, 1);
 }
 
 TEST(Scheduler, ManyEventsDeterministicOrder) {
