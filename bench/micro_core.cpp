@@ -350,14 +350,17 @@ void BM_PowDChoose(benchmark::State& state) {
 }
 BENCHMARK(BM_PowDChoose)->Arg(5)->Arg(64)->Arg(512);
 
-/// n servers, 8n file sets, and a report round whose latency skew flips
-/// each call so every rebalance finds an overloaded server to shed.
-template <typename Policy, typename Config>
-void bench_zoo_rebalance(benchmark::State& state) {
+/// One control-plane round of `policy`: range(0) servers, range(1) file
+/// sets, and a report round whose latency skew flips each call so every
+/// rebalance finds overloaded servers to shed. The round covers the
+/// policy's decision and the publish of its new owner table; the
+/// moves_per_round counter shows how much each round moved.
+void bench_policy_round(benchmark::State& state,
+                        policy::PlacementPolicy& policy) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  Policy policy{Config{}};
+  const auto set_count = static_cast<std::uint32_t>(state.range(1));
   std::vector<workload::FileSetSpec> sets;
-  for (std::uint32_t i = 0; i < 8 * n; ++i) {
+  for (std::uint32_t i = 0; i < set_count; ++i) {
     sets.push_back(
         workload::FileSetSpec::make(i, "fs" + std::to_string(i), 1.0));
   }
@@ -366,6 +369,7 @@ void bench_zoo_rebalance(benchmark::State& state) {
   policy.initialize(sets, servers);
   double now = 0.0;
   std::uint64_t round = 0;
+  std::uint64_t moves = 0;
   for (auto _ : state) {
     std::vector<core::ServerReport> reports;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -374,20 +378,31 @@ void bench_zoo_rebalance(benchmark::State& state) {
     }
     now += 120.0;
     ++round;
-    benchmark::DoNotOptimize(policy.rebalance(now, reports));
+    const std::vector<policy::Move> moved = policy.rebalance(now, reports);
+    benchmark::DoNotOptimize(moved.data());
+    moves += moved.size();
   }
+  state.counters["moves_per_round"] = benchmark::Counter(
+      static_cast<double>(moves), benchmark::Counter::kAvgIterations);
 }
+
+void BM_AnuPolicyRound(benchmark::State& state) {
+  policy::AnuPolicy policy{core::AnuConfig{}};
+  bench_policy_round(state, policy);
+}
+BENCHMARK(BM_AnuPolicyRound)->Args({5, 500})->Args({64, 16384});
 
 void BM_PowDRebalance(benchmark::State& state) {
-  bench_zoo_rebalance<policy::PowerOfDChoicesPolicy, policy::PowDConfig>(
-      state);
+  policy::PowerOfDChoicesPolicy policy{policy::PowDConfig{}};
+  bench_policy_round(state, policy);
 }
-BENCHMARK(BM_PowDRebalance)->Arg(5)->Arg(64);
+BENCHMARK(BM_PowDRebalance)->Args({5, 40})->Args({64, 512});
 
 void BM_JiqRebalance(benchmark::State& state) {
-  bench_zoo_rebalance<policy::JoinIdleQueuePolicy, policy::JiqConfig>(state);
+  policy::JoinIdleQueuePolicy policy{policy::JiqConfig{}};
+  bench_policy_round(state, policy);
 }
-BENCHMARK(BM_JiqRebalance)->Arg(5)->Arg(64);
+BENCHMARK(BM_JiqRebalance)->Args({5, 40})->Args({64, 512});
 
 // -------- workload construction (src/workload) --------
 

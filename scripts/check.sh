@@ -37,9 +37,11 @@
 #             logs each run's equivalence digest
 #   policy-smoke  replay one short seeded crash/recover scenario under
 #             the invariant auditor for EVERY policy in the registry
-#             (anufs_audit --policies all) — the tripwire for anyone
-#             adding a policy that runs in tests but breaks under the
-#             auditor, or that falls out of the registry wiring
+#             (anufs_audit --policies all); fails unless every name the
+#             tool lists ran and the summary reads 0 violations — the
+#             tripwire for anyone adding a policy that runs in tests but
+#             breaks under the auditor, or that falls out of the
+#             registry wiring
 #
 # Tests carry ctest labels (unit | property | golden | stress |
 # bench-smoke | lint; see tests/CMakeLists.txt). default and sanitize
@@ -165,13 +167,20 @@ for stage in "${STAGES[@]}"; do
     POLICY_OUT="$(printf 'workload synthetic\nservers 1,3,5,7,9\nperiod 60\nduration 300\nrequests 2000\nfile_sets 40\nseed 7\nmovement on\nfail 120 4\nrecover 240 4\n' \
       | build/tools/anufs_audit --policies all -)"
     echo "$POLICY_OUT"
-    # Every registered policy must appear in the batch (pow-d and jiq
-    # named explicitly: they are the newest and easiest to lose), and
-    # the batch must have actually audited something.
-    for p in pow-d jiq anu; do
+    # Every registered policy must appear in the batch. The names come
+    # from the tool's own usage text (the registry), so a newly
+    # registered policy is required here without editing this script.
+    REGISTERED="$( { build/tools/anufs_audit 2>&1 >/dev/null || true; } \
+      | sed -n 's/^registered policies: //p' | tr -d ' ' | tr ',' ' ')"
+    [ -n "$REGISTERED" ] \
+      || { echo "policy-smoke: no registered policy list in anufs_audit usage" >&2; exit 1; }
+    for p in $REGISTERED; do
       echo "$POLICY_OUT" | grep -q "policy=$p " \
         || { echo "policy-smoke: policy $p missing from --policies all" >&2; exit 1; }
     done
+    # ...and the batch must have audited something and found nothing.
+    echo "$POLICY_OUT" | grep -Eq '^audit: [1-9][0-9]* invariant audits, 0 violations' \
+      || { echo "policy-smoke: missing '0 violations' audit summary" >&2; exit 1; }
     continue
   fi
   echo "== configure: $stage"

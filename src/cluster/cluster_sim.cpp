@@ -39,6 +39,8 @@ ClusterSim::ClusterSim(ClusterConfig config,
       san_(sched_),
       san_rng_(sim::make_stream(config_.seed, "san")),
       unavailable_until_(workload_.file_sets.size(), sim::kTimeZero),
+      held_(workload_.file_sets.size()),
+      stale_(workload_.file_sets.size(), StaleRoute{kInvalidServer, 0.0}),
       collector_(config_.net.collection),
       net_rng_(sim::make_stream(config_.seed, "net")) {
   ANUFS_EXPECTS(!config_.server_speeds.empty());
@@ -154,13 +156,13 @@ bool ClusterSim::forward_if_stale(std::size_t index) {
   // the previous owner, which re-hashes the name and forwards after the
   // forwarding work clears its queue.
   const workload::RequestEvent& r = workload_.requests[index];
-  const auto stale = stale_.find(r.file_set);
-  if (stale == stale_.end()) return false;
-  if (sched_.now() >= stale->second.second) {
-    stale_.erase(stale);  // mapping has propagated
+  StaleRoute& stale = stale_[r.file_set.value];
+  if (stale.from == kInvalidServer) return false;
+  if (sched_.now() >= stale.until) {
+    stale.from = kInvalidServer;  // mapping has propagated
     return false;
   }
-  if (!node(stale->second.first).alive()) return false;
+  if (!node(stale.from).alive()) return false;
   ++result_.forwarded;
   // The request is now "between servers": if the forwarder crashes while
   // it queues, or the hop lands past the horizon, the ledger still
@@ -169,7 +171,7 @@ bool ClusterSim::forward_if_stale(std::size_t index) {
   const FileSetId fs = r.file_set;
   const double demand = r.demand;
   const sim::SimTime arrival = r.time;
-  node(stale->second.first)
+  node(stale.from)
       .stall_then(config_.routing.forward_demand,
                   [this, fs, demand, arrival, index] {
                     sched_.schedule_in(config_.routing.forward_hop,
@@ -195,7 +197,7 @@ void ClusterSim::deliver(FileSetId fs, double demand,
 
 void ClusterSim::hold(FileSetId fs, double demand,
                       sim::SimTime original_arrival, std::size_t op_index) {
-  held_[fs].push_back(HeldRequest{original_arrival, demand, op_index});
+  held_[fs.value].push_back(HeldRequest{original_arrival, demand, op_index});
   ++held_count_;
 }
 
@@ -239,10 +241,9 @@ void ClusterSim::drain_held(FileSetId fs) {
   if (sched_.now() < unavailable_until_[fs.value]) {
     return;  // a later move superseded
   }
-  const auto it = held_.find(fs);
-  if (it == held_.end()) return;
-  std::vector<HeldRequest> pending = std::move(it->second);
-  held_.erase(it);
+  std::vector<HeldRequest> pending;
+  pending.swap(held_[fs.value]);
+  if (pending.empty()) return;
   held_count_ -= pending.size();
   for (const HeldRequest& h : pending) {
     route(fs, h.demand, h.time, h.op_index);
@@ -259,7 +260,7 @@ void ClusterSim::apply_moves(const std::vector<policy::Move>& moves,
     const sim::SimTime until =
         sched_.now() + config_.routing.distribution_delay;
     for (const policy::Move& m : moves) {
-      stale_[m.file_set] = {m.from, until};
+      stale_[m.file_set.value] = {m.from, until};
     }
   }
   if (!movement_.config().enabled) {
@@ -465,8 +466,8 @@ RunResult ClusterSim::run() {
   // Close the conservation ledger: every request the workload issued is
   // completed, lost, queued, held behind a move, or mid-forward. The
   // fault property tests assert this sum for every random plan.
-  // held_count_ is maintained incrementally (deliver/drain_held) so no
-  // unordered container is ever iterated on a RunResult-feeding path.
+  // held_count_ is maintained incrementally (deliver/drain_held), so
+  // the ledger never walks every set's queue.
   result_.held_at_end += held_count_;
   result_.in_transit_at_end = in_transit_;
   result_.mean_latency = result_.completed == 0

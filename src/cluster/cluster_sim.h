@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/movement.h"
@@ -260,14 +259,19 @@ class ClusterSim {
   // Movement-in-progress bookkeeping. Dense by FileSetId.value, like the
   // policy's owner table: a set is held until this time (0: never moved).
   std::vector<sim::SimTime> unavailable_until_;
-  std::unordered_map<FileSetId, std::vector<HeldRequest>> held_;
+  std::vector<std::vector<HeldRequest>> held_;
   // Requests currently held across all file sets. Maintained
-  // incrementally so the end-of-run conservation ledger never iterates
-  // the unordered map (D1: RunResult is fed only by deterministic
-  // walks and order-independent counters).
+  // incrementally so the end-of-run conservation ledger never walks
+  // every set's queue.
   std::size_t held_count_ = 0;
-  // Routing staleness: file set -> (previous owner, stale until).
-  std::unordered_map<FileSetId, std::pair<ServerId, sim::SimTime>> stale_;
+  // Routing staleness, dense by FileSetId.value: the previous owner and
+  // the time the new mapping reaches clients (from == kInvalidServer:
+  // the client mapping is current).
+  struct StaleRoute {
+    ServerId from;
+    sim::SimTime until;
+  };
+  std::vector<StaleRoute> stale_;
   // Failure detection: crash time of silently-dead servers, pending
   // declaration by the detector sweep.
   std::map<ServerId, sim::SimTime> undetected_;

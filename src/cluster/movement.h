@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "common/ids.h"
@@ -79,25 +79,27 @@ class MovementModel {
   /// Mark a file set as freshly moved: its cache is cold.
   void on_move(FileSetId fs) {
     if (config_.cold_requests > 0 && config_.cold_factor > 1.0) {
-      cold_remaining_[fs] = config_.cold_requests;
+      if (fs.value >= cold_remaining_.size()) {
+        cold_remaining_.resize(std::size_t{fs.value} + 1, 0);
+      }
+      if (cold_remaining_[fs.value] == 0) ++cold_sets_;
+      cold_remaining_[fs.value] = config_.cold_requests;
     }
   }
 
   /// Demand multiplier for the next request of `fs`, consuming one step
   /// of warm-up. 1.0 once warm. Linear decay from cold_factor to 1.
   [[nodiscard]] double demand_multiplier(FileSetId fs) {
-    const auto it = cold_remaining_.find(fs);
-    if (it == cold_remaining_.end()) return 1.0;
-    const std::uint32_t remaining = it->second;
+    if (fs.value >= cold_remaining_.size()) return 1.0;
+    std::uint32_t& remaining = cold_remaining_[fs.value];
+    if (remaining == 0) return 1.0;
     const double frac = static_cast<double>(remaining) /
                         static_cast<double>(config_.cold_requests);
-    if (--it->second == 0) cold_remaining_.erase(it);
+    if (--remaining == 0) --cold_sets_;
     return 1.0 + (config_.cold_factor - 1.0) * frac;
   }
 
-  [[nodiscard]] std::size_t cold_sets() const noexcept {
-    return cold_remaining_.size();
-  }
+  [[nodiscard]] std::size_t cold_sets() const noexcept { return cold_sets_; }
 
   // ---- fault injection (flaky transfers) --------------------------------
 
@@ -133,7 +135,10 @@ class MovementModel {
  private:
   MovementConfig config_;
   sim::Xoshiro256 rng_;
-  std::unordered_map<FileSetId, std::uint32_t> cold_remaining_;
+  // Warm-up requests left, dense by FileSetId.value (0: warm), and the
+  // number of cold sets.
+  std::vector<std::uint32_t> cold_remaining_;
+  std::size_t cold_sets_ = 0;
   MoveFaultSpec fault_;
   bool fault_active_ = false;
 };

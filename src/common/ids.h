@@ -35,10 +35,3 @@ struct std::hash<anufs::ServerId> {
     return std::hash<std::uint32_t>{}(id.value);
   }
 };
-
-template <>
-struct std::hash<anufs::FileSetId> {
-  std::size_t operator()(anufs::FileSetId id) const noexcept {
-    return std::hash<std::uint32_t>{}(id.value);
-  }
-};

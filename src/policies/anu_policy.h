@@ -2,9 +2,10 @@
 // policy interface used by the cluster simulator. Ownership is never
 // stored per file set inside ANU itself — it is re-derived from the hash
 // probe sequence against the current region map, which is the paper's
-// whole point (shared state scales with servers, not file sets). The
-// policy-layer assignment table here exists only so the simulator can
-// diff configurations into Move records.
+// whole point (shared state scales with servers, not file sets). After
+// every change the policy re-derives all owners in one locate_many sweep
+// and publishes them as the base class's dense routing table, whose diff
+// is the round's Move record.
 #pragma once
 
 #include <memory>
@@ -46,15 +47,17 @@ class AnuPolicy final : public AssignmentPolicyBase {
 
  private:
   /// Re-derive every file set's owner from the probe sequence, batched
-  /// through AnuSystem::locate_many (one SoA sweep per call).
-  [[nodiscard]] std::map<FileSetId, ServerId> derive_assignment() const;
+  /// through AnuSystem::locate_many (one SoA sweep per call), and
+  /// publish the result.
+  std::vector<Move> rederive();
 
   core::AnuConfig config_;
   std::unique_ptr<core::AnuSystem> system_;
-  // Reused locate_many staging (fingerprints in, results out), mutable
-  // because derive_assignment() is logically const.
-  mutable std::vector<std::uint64_t> fps_scratch_;
-  mutable std::vector<core::LocateResult> locate_scratch_;
+  // Reused locate_many staging: fingerprints in file_sets_ order
+  // (gathered once), results out, and the next owner table.
+  std::vector<std::uint64_t> fingerprints_;
+  std::vector<core::LocateResult> located_;
+  std::vector<ServerId> next_;
 };
 
 }  // namespace anufs::policy

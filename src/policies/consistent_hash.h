@@ -57,7 +57,8 @@ class ConsistentHashPolicy final : public AssignmentPolicyBase {
   [[nodiscard]] std::uint32_t vnode_count(ServerId id) const;
   void add_points(ServerId id);
   void remove_points(ServerId id);
-  [[nodiscard]] std::map<FileSetId, ServerId> derive_assignment() const;
+  /// Re-derive every file set's owner and publish the result.
+  std::vector<Move> rederive();
 
   std::map<ServerId, double> capacities_;
   ConsistentHashConfig config_;

@@ -6,53 +6,41 @@
 
 namespace anufs::policy {
 
-std::vector<Move> AssignmentPolicyBase::apply_assignment(
-    const std::map<FileSetId, ServerId>& next) {
-  ANUFS_EXPECTS(next.size() == assignment_.size() || assignment_.empty());
+void AssignmentPolicyBase::begin_initialize(
+    const std::vector<workload::FileSetSpec>& file_sets,
+    const std::vector<ServerId>& servers) {
+  ANUFS_EXPECTS(!servers.empty());
+  for (std::size_t i = 0; i < file_sets.size(); ++i) {
+    ANUFS_EXPECTS(file_sets[i].id.value == i && "file-set ids must be dense");
+  }
+  file_sets_ = file_sets;
+  servers_ = servers;
+  std::sort(servers_.begin(), servers_.end());
+  owner_table_.clear();
+}
+
+std::vector<Move> AssignmentPolicyBase::publish(std::vector<ServerId>& next) {
+  const bool initial = owner_table_.empty();
+  // Key-set guard: a table of another size would change the file-set
+  // population, and a kInvalidServer entry would only abort much later,
+  // at some request's owner() call, far from the bug. Catch both here.
+  ANUFS_EXPECTS((initial || next.size() == owner_table_.size()) &&
+                "publish must preserve the file-set key set");
   std::vector<Move> moves;
-  const bool initial = assignment_.empty();
-  auto prev = assignment_.cbegin();
-  for (const auto& [fs, to] : next) {
-    if (initial) continue;  // initial assignment: no move
-    // Lockstep walk over two same-size ordered maps: any key mismatch
-    // means `next` changed the file-set population, which would leave a
-    // kInvalidServer hole in the routing table that only aborts much
-    // later, at request time, far from the bug. Catch it here instead
-    // (size equality alone cannot — a dropped+added id pair preserves
-    // the size while breaking the key set).
-    ANUFS_EXPECTS(prev->first == fs &&
-                  "apply_assignment must preserve the file-set key set");
-    if (prev->second != to) moves.push_back(Move{fs, prev->second, to});
-    ++prev;
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    ANUFS_EXPECTS(next[i] != kInvalidServer &&
+                  "publish must assign every file set");
+    if (!initial && next[i] != owner_table_[i]) {
+      moves.push_back(Move{FileSetId{static_cast<std::uint32_t>(i)},
+                           owner_table_[i], next[i]});
+    }
   }
-  assignment_ = next;
-  commit_assignment();
-  ANUFS_TRACE(obs::Category::kMove, "assignment_commit",
-              {"file_sets", next.size()}, {"moved", moves.size()});
+  owner_table_.swap(next);
+  if (!initial) {
+    ANUFS_TRACE(obs::Category::kMove, "assignment_commit",
+                {"file_sets", owner_table_.size()}, {"moved", moves.size()});
+  }
   return moves;
-}
-
-void AssignmentPolicyBase::commit_assignment() {
-  std::uint32_t max_id = 0;
-  for (const auto& [fs, owner] : assignment_) {
-    max_id = std::max(max_id, fs.value);
-  }
-  const std::size_t size = assignment_.empty() ? 0 : std::size_t{max_id} + 1;
-  owner_table_.assign(size, kInvalidServer);
-  for (const auto& [fs, owner] : assignment_) {
-    // A policy must never PUBLISH an unassigned file set: routing
-    // answers from this table, and a hole here becomes an owner() abort
-    // at some later request with no hint of which mutation caused it.
-    // Re-homing therefore happens in place, before the commit (see
-    // simple_random.cpp's on_server_failed for the pattern).
-    ANUFS_ENSURES(owner != kInvalidServer);
-    owner_table_[fs.value] = owner;
-  }
-}
-
-void AssignmentPolicyBase::set_servers(std::vector<ServerId> servers) {
-  std::sort(servers.begin(), servers.end());
-  servers_ = std::move(servers);
 }
 
 void AssignmentPolicyBase::add_server_id(ServerId id) {

@@ -1,11 +1,11 @@
 // Placement policy interface: how file sets map to servers and how the
 // mapping reacts to latency reports and membership changes.
 //
-// Four implementations reproduce the paper's comparison:
-//   simple randomization | round-robin | dynamic prescient | ANU
+// The paper's comparison (simple randomization, round-robin, dynamic
+// prescient, ANU) plus the baselines and zoo policies all implement it;
+// policies/registry.h lists them.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,16 +58,14 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::vector<ServerId> servers() const = 0;
 };
 
-/// Shared bookkeeping: the fs -> server table plus diff-based move
-/// extraction. Concrete policies fill `assignment_` and publish it with
-/// commit_assignment() (apply_assignment commits automatically).
+/// Shared bookkeeping: the dense fs -> server table that owner() answers
+/// from, and the one step that publishes a new table and diffs it into
+/// moves. The table is the only copy of the assignment.
 class AssignmentPolicyBase : public PlacementPolicy {
  public:
   [[nodiscard]] ANUFS_HOT ServerId owner(FileSetId fs) const final {
-    // The request hot path: a dense table indexed by FileSetId (ids are
-    // dense by construction, see workload::Workload), O(1) with one
-    // cache line touched — the ordered map stays the mutation-time
-    // source of truth for diffing.
+    // The request hot path: one load from a table indexed by FileSetId
+    // (ids are dense, checked by begin_initialize).
     const auto idx = static_cast<std::size_t>(fs.value);
     ANUFS_EXPECTS(idx < owner_table_.size());
     const ServerId id = owner_table_[idx];
@@ -80,27 +78,42 @@ class AssignmentPolicyBase : public PlacementPolicy {
   }
 
  protected:
-  /// Replace the assignment with `next`, returning the induced moves.
-  /// Commits (rebuilds the dense routing table) before returning.
-  std::vector<Move> apply_assignment(
-      const std::map<FileSetId, ServerId>& next);
+  /// Common start of every initialize(): stores the file sets and the
+  /// sorted server list and drops any previous table. File-set ids must
+  /// be dense (file_sets[i].id.value == i), as Workload::validate
+  /// guarantees: the table is indexed by them.
+  void begin_initialize(const std::vector<workload::FileSetSpec>& file_sets,
+                        const std::vector<ServerId>& servers);
 
-  /// Publish `assignment_` to the dense routing table. Must be called
-  /// after every direct write to `assignment_` (initialize() bodies and
-  /// in-place reassignment loops) — owner() answers from the table, so
-  /// an uncommitted write is invisible to routing.
-  void commit_assignment();
+  /// Publish `next` as the assignment and return the induced moves in
+  /// ascending FileSetId order. `next` must cover every file set with a
+  /// real server. The vectors are swapped, so on return `next` holds
+  /// the previous table (callers may reuse it as scratch). The first
+  /// publish after begin_initialize is the initial placement: it moves
+  /// nothing and leaves no trace record.
+  std::vector<Move> publish(std::vector<ServerId>& next);
 
-  void set_servers(std::vector<ServerId> servers);
+  /// Re-home the victim's file sets in place, in FileSetId order, each
+  /// to `pick()`; returns exactly those moves. No publish step needed.
+  template <typename Pick>
+  std::vector<Move> rehome(ServerId victim, Pick&& pick) {
+    std::vector<Move> moves;
+    for (std::size_t i = 0; i < owner_table_.size(); ++i) {
+      if (owner_table_[i] != victim) continue;
+      const ServerId to = pick();
+      moves.push_back(
+          Move{FileSetId{static_cast<std::uint32_t>(i)}, victim, to});
+      owner_table_[i] = to;
+    }
+    return moves;
+  }
+
   void add_server_id(ServerId id);
   void remove_server_id(ServerId id);
 
-  std::map<FileSetId, ServerId> assignment_;
-  std::vector<ServerId> servers_;  // sorted
-  std::vector<workload::FileSetSpec> file_sets_;
-
- private:
   std::vector<ServerId> owner_table_;  // index == FileSetId.value
+  std::vector<ServerId> servers_;      // sorted
+  std::vector<workload::FileSetSpec> file_sets_;
 };
 
 }  // namespace anufs::policy

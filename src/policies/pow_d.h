@@ -26,10 +26,11 @@
 //
 // Determinism (lint rule D1): every random draw comes from a
 // sim::make_stream substream keyed by a per-entry-point counter, and
-// all iteration is over sorted flat vectors or std::map — replays are
+// all iteration is over sorted flat vectors — replays are
 // bit-identical for a given seed, across --jobs counts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "policies/policy.h"
@@ -89,6 +90,55 @@ class DChoiceTable {
   // mutable because choose() is logically const.
   mutable std::vector<std::uint32_t> scratch_;
 };
+
+/// Request-weighted mean latency of one report round; 0 when no server
+/// completed anything (an idle interval carries no signal).
+[[nodiscard]] double round_average(
+    const std::vector<core::ServerReport>& reports);
+
+/// One overload-shedding round, shared by pow-d and JIQ. Every reporting
+/// server slower than config.overload_factor x `average` re-decides
+/// shed = max(1, count x config.shed_fraction) of its `count` sets: every
+/// ceil(count/shed)-th in FileSetId order, a stride that keeps the
+/// selection deterministic and spread across the id range. Selection
+/// reads `owners`, the pre-round table, so a set sheds at most once even
+/// when its new owner is hot too; new owners from `pick` go to `next` (a
+/// copy of `owners`) and are credited in `table`. Returns whether any
+/// set changed owner.
+template <typename Config, typename Pick>
+bool shed_overloaded(const Config& config,
+                     const std::vector<core::ServerReport>& reports,
+                     double average, const std::vector<ServerId>& owners,
+                     std::vector<ServerId>& next, DChoiceTable& table,
+                     Pick&& pick) {
+  bool changed = false;
+  for (const core::ServerReport& r : reports) {
+    if (r.requests == 0 || !table.contains(r.id)) continue;
+    if (r.mean_latency <= config.overload_factor * average) continue;
+    const std::uint32_t count = table.sets_of(r.id);
+    if (count == 0) continue;
+    const auto shed = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(static_cast<double>(count) *
+                                      config.shed_fraction));
+    const std::uint32_t stride = (count + shed - 1) / shed;
+    std::uint32_t seen = 0;
+    std::uint32_t moved = 0;
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      if (owners[i] != r.id) continue;
+      const bool selected = seen % stride == 0 && moved < shed;
+      ++seen;
+      if (!selected) continue;
+      ++moved;
+      const ServerId to = pick();
+      if (to == r.id) continue;  // the decision kept it home
+      next[i] = to;
+      table.credit(r.id, -1);
+      table.credit(to, +1);
+      changed = true;
+    }
+  }
+  return changed;
+}
 
 struct PowDConfig {
   /// Choices per decision. 1 degenerates to simple randomization; the

@@ -95,23 +95,24 @@ class PrescientPolicy final : public AssignmentPolicyBase {
                                     double seconds, double speed,
                                     double norm_cap) const;
 
+  /// Assignments below are owner tables indexed by FileSetId.value,
+  /// like the base class's routing table.
+  using Owners = std::vector<ServerId>;
+
   /// The search objective of a full assignment (max server score).
-  [[nodiscard]] double objective(
-      const std::map<FileSetId, ServerId>& assignment, const WindowLoad& load,
-      double norm_cap) const;
+  [[nodiscard]] double objective(const Owners& assignment,
+                                 const WindowLoad& load,
+                                 double norm_cap) const;
 
   /// LPT seed by normalized load.
-  [[nodiscard]] std::map<FileSetId, ServerId> pack_lpt(
-      const WindowLoad& load) const;
+  [[nodiscard]] Owners pack_lpt(const WindowLoad& load) const;
 
   /// One local-search pass (moves + swaps) minimizing max server_score.
-  [[nodiscard]] std::map<FileSetId, ServerId> search_pass(
-      std::map<FileSetId, ServerId> assignment, const WindowLoad& load,
-      double norm_cap) const;
+  [[nodiscard]] Owners search_pass(Owners assignment, const WindowLoad& load,
+                                   double norm_cap) const;
 
   /// Both passes: load skew first, then latency under the load cap.
-  [[nodiscard]] std::map<FileSetId, ServerId> refine(
-      std::map<FileSetId, ServerId> assignment, const WindowLoad& load) const;
+  [[nodiscard]] Owners refine(Owners assignment, const WindowLoad& load) const;
 
   [[nodiscard]] double speed_of(ServerId id) const;
 

@@ -42,20 +42,18 @@ void WeightedHashPolicy::reproportion() {
   ANUFS_ENSURES(regions.total_share() == kHalfInterval);
 }
 
-std::map<FileSetId, ServerId> WeightedHashPolicy::derive_assignment() const {
-  std::map<FileSetId, ServerId> next;
+std::vector<Move> WeightedHashPolicy::rederive() {
+  std::vector<ServerId> next;
   for (const workload::FileSetSpec& fs : file_sets_) {
-    next[fs.id] = map_->locate_server(fs.fingerprint);
+    next.push_back(map_->locate_server(fs.fingerprint));
   }
-  return next;
+  return publish(next);
 }
 
 void WeightedHashPolicy::initialize(
     const std::vector<workload::FileSetSpec>& file_sets,
     const std::vector<ServerId>& servers) {
-  ANUFS_EXPECTS(!servers.empty());
-  file_sets_ = file_sets;
-  set_servers(servers);
+  begin_initialize(file_sets, servers);
   map_ = std::make_unique<core::PlacementMap>(core::PlacementMap::for_servers(
       placement_config_, static_cast<std::uint32_t>(servers.size())));
   for (const ServerId id : servers_) {
@@ -63,15 +61,14 @@ void WeightedHashPolicy::initialize(
     map_->regions().add_server(id);
   }
   reproportion();
-  assignment_ = derive_assignment();
-  commit_assignment();
+  rederive();
 }
 
 std::vector<Move> WeightedHashPolicy::on_server_failed(ServerId id) {
   remove_server_id(id);
   map_->regions().remove_server(id);
   reproportion();
-  return apply_assignment(derive_assignment());
+  return rederive();
 }
 
 std::vector<Move> WeightedHashPolicy::on_server_added(ServerId id) {
@@ -83,7 +80,7 @@ std::vector<Move> WeightedHashPolicy::on_server_added(ServerId id) {
     regions.repartition_double();
   }
   reproportion();
-  return apply_assignment(derive_assignment());
+  return rederive();
 }
 
 }  // namespace anufs::policy

@@ -49,7 +49,8 @@ class WeightedHashPolicy final : public AssignmentPolicyBase {
  private:
   /// (Re)shape regions proportional to the capacities of alive servers.
   void reproportion();
-  [[nodiscard]] std::map<FileSetId, ServerId> derive_assignment() const;
+  /// Re-derive every file set's owner and publish the result.
+  std::vector<Move> rederive();
 
   std::map<ServerId, double> capacities_;
   core::PlacementConfig placement_config_;

@@ -13,7 +13,11 @@
 //    (ripple policies — ANU's half-occupancy cascade, weighted-hash
 //    re-proportioning — may move more, but must still clear v);
 //  * servers() stays sorted and tracks membership through fail/add;
-//  * a full scenario run is bit-identical at --jobs 1 vs 4.
+//  * the moves every entry point returns are exactly the owner diff:
+//    the sets whose owner() changed, with the old and new owner, in
+//    ascending FileSetId order;
+//  * a full scenario run is bit-identical at --jobs 1 vs 4, and matches
+//    the policy's pinned digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +31,7 @@
 #include "policies/join_idle_queue.h"
 #include "policies/pow_d.h"
 #include "policies/registry.h"
+#include "run_digest.h"
 #include "workload/synthetic.h"
 
 namespace anufs::policy {
@@ -155,6 +160,88 @@ TEST(PolicyConformance, FailureRehomesVictimBeforeReturning) {
   }
 }
 
+std::vector<ServerId> owner_snapshot(const PlacementPolicy& pol,
+                                     std::size_t sets) {
+  std::vector<ServerId> owners;
+  for (std::uint32_t i = 0; i < sets; ++i) {
+    owners.push_back(pol.owner(FileSetId{i}));
+  }
+  return owners;
+}
+
+/// The moves an entry point returned must be exactly the diff between
+/// the owner tables before and after it: one move per changed set, in
+/// strictly ascending FileSetId order, from the old owner to the new.
+void expect_moves_are_owner_diff(const std::vector<ServerId>& before,
+                                 const std::vector<ServerId>& after,
+                                 const std::vector<Move>& moves) {
+  std::vector<Move> diff;
+  for (std::uint32_t i = 0; i < before.size(); ++i) {
+    if (before[i] != after[i]) {
+      diff.push_back({FileSetId{i}, before[i], after[i]});
+    }
+  }
+  ASSERT_EQ(moves.size(), diff.size());
+  for (std::size_t k = 0; k < moves.size(); ++k) {
+    EXPECT_EQ(moves[k].file_set, diff[k].file_set) << "move " << k;
+    EXPECT_EQ(moves[k].from, diff[k].from) << "move " << k;
+    EXPECT_EQ(moves[k].to, diff[k].to) << "move " << k;
+    if (k > 0) {
+      EXPECT_LT(moves[k - 1].file_set, moves[k].file_set);
+    }
+  }
+}
+
+TEST(PolicyConformance, MovesAreExactlyTheOwnerDiff) {
+  const workload::Workload work = small_workload();
+  const std::size_t n = work.file_sets.size();
+  for (const std::string& name : registered_policy_names()) {
+    SCOPED_TRACE(name);
+    const auto pol = make_registered_policy(name, full_params(work));
+    pol->initialize(work.file_sets, initial_servers());
+    // A skewed round: the slowest server is far over the average, so
+    // every latency-driven policy has something to shed.
+    const std::vector<core::ServerReport> reports = {
+        {ServerId{0}, 0.400, 200}, {ServerId{1}, 0.020, 200},
+        {ServerId{2}, 0.010, 200}, {ServerId{3}, 0.008, 200},
+        {ServerId{4}, 0.005, 200}};
+    std::vector<ServerId> before = owner_snapshot(*pol, n);
+    std::vector<Move> moves = pol->rebalance(60.0, reports);
+    std::vector<ServerId> after = owner_snapshot(*pol, n);
+    expect_moves_are_owner_diff(before, after, moves);
+    // Prescient re-packs from the workload, not from reports.
+    const PolicyInfo& info = *find_policy(name);
+    if (info.latency_driven && !info.needs_workload) {
+      EXPECT_FALSE(moves.empty()) << "a skewed round moved nothing";
+    }
+
+    before = after;
+    moves = pol->on_server_failed(ServerId{2});
+    after = owner_snapshot(*pol, n);
+    expect_moves_are_owner_diff(before, after, moves);
+    EXPECT_FALSE(moves.empty());
+
+    before = after;
+    moves = pol->on_server_added(ServerId{5});
+    after = owner_snapshot(*pol, n);
+    expect_moves_are_owner_diff(before, after, moves);
+  }
+}
+
+// Every registered policy's run of the scenario below, pinned bit for
+// bit. A policy added to the registry needs its digest added here.
+const std::map<std::string, std::uint64_t> kPinnedRunDigests = {
+    {"anu", 0x19a1e59e9ef03277u},
+    {"anu-pairwise", 0x499eb073737a7381u},
+    {"prescient", 0xf15c579385a7fe8fu},
+    {"round-robin", 0x6e9b056e08d2991bu},
+    {"simple-random", 0x475c689b66015281u},
+    {"weighted-hash", 0x6b053482ee225ce1u},
+    {"consistent-hash", 0x18beb2f9ecd996bcu},
+    {"pow-d", 0x93c7903b4dc74889u},
+    {"jiq", 0xfe5f9bf77024a0fau},
+};
+
 TEST(PolicyConformance, RunsBitIdenticalAtJobsOneVsFour) {
   // Whole-scenario determinism: the same faulted config replayed
   // serially and on four workers must produce identical results for
@@ -188,6 +275,11 @@ TEST(PolicyConformance, RunsBitIdenticalAtJobsOneVsFour) {
     EXPECT_EQ(serial[i].crash_moves, parallel[i].crash_moves);
     EXPECT_EQ(serial[i].mean_latency, parallel[i].mean_latency);
     EXPECT_EQ(serial[i].server_completed, parallel[i].server_completed);
+    EXPECT_EQ(cluster::run_digest(serial[i]),
+              cluster::run_digest(parallel[i]));
+    const auto pinned = kPinnedRunDigests.find(runs[i].policy);
+    ASSERT_NE(pinned, kPinnedRunDigests.end()) << "no pinned digest";
+    EXPECT_EQ(cluster::run_digest(serial[i]), pinned->second);
   }
 }
 

@@ -174,6 +174,71 @@ TEST(PolicyBaseDeathTest, OwnerOfUnknownSetAborts) {
   EXPECT_DEATH((void)policy.owner(FileSetId{99}), "precondition");
 }
 
+/// A bare AssignmentPolicyBase that exposes publish(), to drive the
+/// base class's guards directly. It places every set on its lowest
+/// server.
+class PublishProbe final : public AssignmentPolicyBase {
+ public:
+  [[nodiscard]] std::string name() const override { return "publish-probe"; }
+  void initialize(const std::vector<workload::FileSetSpec>& file_sets,
+                  const std::vector<ServerId>& servers) override {
+    begin_initialize(file_sets, servers);
+    std::vector<ServerId> next(file_sets_.size(), servers_.front());
+    publish(next);
+  }
+  std::vector<Move> rebalance(
+      sim::SimTime /*now*/,
+      const std::vector<core::ServerReport>& /*reports*/) override {
+    return {};
+  }
+  std::vector<Move> on_server_failed(ServerId /*id*/) override { return {}; }
+  std::vector<Move> on_server_added(ServerId /*id*/) override { return {}; }
+
+  std::vector<Move> publish_table(std::vector<ServerId> next) {
+    return publish(next);
+  }
+};
+
+TEST(PolicyBase, PublishDiffsInFileSetOrder) {
+  PublishProbe probe;
+  probe.initialize(make_sets(4), make_servers(3));
+  const std::vector<Move> moves = probe.publish_table(
+      {ServerId{2}, ServerId{0}, ServerId{1}, ServerId{0}});
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_EQ(moves[0].file_set, FileSetId{0});
+  EXPECT_EQ(moves[0].from, ServerId{0});
+  EXPECT_EQ(moves[0].to, ServerId{2});
+  EXPECT_EQ(moves[1].file_set, FileSetId{2});
+  EXPECT_EQ(moves[1].to, ServerId{1});
+  EXPECT_EQ(probe.owner(FileSetId{0}), ServerId{2});
+  EXPECT_EQ(probe.owner(FileSetId{3}), ServerId{0});
+}
+
+TEST(PolicyBaseDeathTest, PublishingAnotherKeySetAborts) {
+  PublishProbe probe;
+  probe.initialize(make_sets(4), make_servers(2));
+  EXPECT_DEATH((void)probe.publish_table(std::vector<ServerId>(3, ServerId{1})),
+               "key set");
+}
+
+TEST(PolicyBaseDeathTest, PublishingAnUnassignedSetAborts) {
+  PublishProbe probe;
+  probe.initialize(make_sets(4), make_servers(2));
+  EXPECT_DEATH(
+      (void)probe.publish_table(
+          {ServerId{1}, kInvalidServer, ServerId{0}, ServerId{1}}),
+      "assign every file set");
+}
+
+TEST(PolicyBaseDeathTest, SparseFileSetIdsAbortAtInitialize) {
+  std::vector<workload::FileSetSpec> sets = make_sets(3);
+  sets.erase(sets.begin() + 1);  // ids {0, 2}
+  PublishProbe probe;
+  EXPECT_DEATH(probe.initialize(sets, make_servers(2)), "dense");
+  RoundRobinPolicy policy;
+  EXPECT_DEATH(policy.initialize(sets, make_servers(2)), "dense");
+}
+
 TEST(PolicyBase, ServersSorted) {
   RoundRobinPolicy policy;
   policy.initialize(make_sets(3),
