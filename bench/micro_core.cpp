@@ -20,6 +20,8 @@
 #include "policies/pow_d.h"
 #include "serve/lookup_service.h"
 #include "serve/snapshot.h"
+#include "sim/distributions.h"
+#include "sim/exponential.h"
 #include "sim/random.h"
 #include "sim/scheduler.h"
 #include "workload/dfstrace_like.h"
@@ -403,6 +405,33 @@ void BM_JiqRebalance(benchmark::State& state) {
   bench_policy_round(state, policy);
 }
 BENCHMARK(BM_JiqRebalance)->Args({5, 40})->Args({64, 512});
+
+// -------- exponential draw (src/sim/exponential) --------
+
+/// One exponential at a time through the scalar log1p port: what the
+/// shared-stream samplers (op_workload, the SAN transfer draw) pay.
+void BM_SampleExponential(benchmark::State& state) {
+  sim::Xoshiro256 rng{1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::sample_exponential(rng, 2.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SampleExponential);
+
+/// Block fill of unit exponentials (the workload generators' path):
+/// serial uniform draws, then the eight-lane log1p body where the CPU
+/// has AVX-512. Items are draws, so the rate reads as ns per draw.
+void BM_FillUnitExponential(benchmark::State& state) {
+  sim::Xoshiro256 rng{1};
+  std::vector<double> block(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sim::fill_unit_exponential(rng, block);
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FillUnitExponential)->Arg(8)->Arg(256)->Arg(4096);
 
 // -------- workload construction (src/workload) --------
 

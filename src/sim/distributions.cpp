@@ -4,13 +4,13 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "sim/exponential.h"
 
 namespace anufs::sim {
 
 double sample_exponential(Xoshiro256& rng, double rate) {
   ANUFS_EXPECTS(rate > 0.0);
-  // -log(1-U) with U in [0,1) avoids log(0).
-  return -std::log1p(-rng.next_double()) / rate;
+  return unit_exponential(rng) / rate;
 }
 
 double sample_uniform(Xoshiro256& rng, double lo, double hi) {

@@ -11,6 +11,7 @@
 namespace anufs::sim {
 
 /// Exponential with the given rate (events per unit time). Mean = 1/rate.
+/// The one-element form of sim/exponential.h: unit_exponential / rate.
 [[nodiscard]] double sample_exponential(Xoshiro256& rng, double rate);
 
 /// Uniform real in [lo, hi).

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "sim/distributions.h"
+#include "sim/exponential.h"
 #include "sim/random.h"
 #include "workload/time_order.h"
 
@@ -18,6 +19,7 @@ Workload make_dfstrace_like(const DfsTraceLikeConfig& config) {
   ANUFS_EXPECTS(config.duration > 0.0);
   ANUFS_EXPECTS(config.epoch_seconds > 0.0);
   ANUFS_EXPECTS(config.burst_min >= 1.0 && config.burst_max >= config.burst_min);
+  ANUFS_EXPECTS(config.mean_demand > 0.0);
 
   Workload w;
   w.name = "dfstrace-like";
@@ -66,19 +68,23 @@ Workload make_dfstrace_like(const DfsTraceLikeConfig& config) {
   // Piecewise-homogeneous Poisson arrivals per set, then a merge by time.
   w.requests.reserve(
       poisson_capacity(static_cast<double>(config.total_requests)));
+  // One stream per set, drawn ahead across all of its epochs: gaps and
+  // demands are unit exponentials divided by their rates (bit for bit
+  // sim::sample_exponential), and the stream is dropped after its set.
+  const double demand_rate = 1.0 / config.mean_demand;
+  ANUFS_EXPECTS(demand_rate > 0.0);  // an infinite mean_demand
   for (std::uint32_t i = 0; i < config.file_sets; ++i) {
-    sim::Xoshiro256 rng = sim::make_stream(config.seed, "dfs.set", i);
+    sim::ExponentialStream draws(sim::make_stream(config.seed, "dfs.set", i));
     for (std::uint32_t e = 0; e < epochs; ++e) {
       const double rate = calibration * base[i] * intensity[i][e];
       if (rate <= 0.0) continue;
       const double start = static_cast<double>(e) * epoch_len;
       const double end = std::min(start + epoch_len, config.duration);
-      double t = start + sim::sample_exponential(rng, rate);
+      double t = start + draws.next() / rate;
       while (t <= end) {
-        const double demand =
-            sim::sample_exponential(rng, 1.0 / config.mean_demand);
+        const double demand = draws.next() / demand_rate;
         w.requests.push_back(RequestEvent{t, FileSetId{i}, demand});
-        t += sim::sample_exponential(rng, rate);
+        t += draws.next() / rate;
       }
     }
   }

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "sim/distributions.h"
+#include "sim/exponential.h"
 #include "sim/random.h"
 #include "workload/time_order.h"
 
@@ -48,15 +49,20 @@ Workload make_synthetic(const SyntheticConfig& config) {
       static_cast<double>(config.total_requests) / config.duration;
   w.requests.reserve(
       poisson_capacity(static_cast<double>(config.total_requests)));
+  // Gaps and demands alternate on one stream, each a unit exponential
+  // divided by its rate (bit for bit sim::sample_exponential). The
+  // stream is dropped after its set, so drawing it ahead is safe.
   for (std::uint32_t i = 0; i < config.file_sets; ++i) {
     const double rate = total_rate * (rate_shape[i] / shape_sum);
-    sim::Xoshiro256 rng = sim::make_stream(config.seed, "synthetic.set", i);
-    double t = sim::sample_exponential(rng, rate);
+    const double demand_rate = 1.0 / demand_mean[i];
+    ANUFS_EXPECTS(rate > 0.0 && demand_rate > 0.0);
+    sim::ExponentialStream draws(
+        sim::make_stream(config.seed, "synthetic.set", i));
+    double t = draws.next() / rate;
     while (t <= config.duration) {
-      const double demand =
-          sim::sample_exponential(rng, 1.0 / demand_mean[i]);
+      const double demand = draws.next() / demand_rate;
       w.requests.push_back(RequestEvent{t, FileSetId{i}, demand});
-      t += sim::sample_exponential(rng, rate);
+      t += draws.next() / rate;
     }
   }
   order_by_time(std::span(w.requests), config.duration,

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "request_digest.h"
 #include "workload/dfstrace_like.h"
@@ -156,6 +157,30 @@ TEST(DfsTraceLike, PinnedOutputAtDefaults) {
   const Workload w = make_dfstrace_like(DfsTraceLikeConfig{});
   EXPECT_EQ(w.request_count(), 112773u);
   EXPECT_EQ(request_digest(w.requests), 0xa8a65f2082718f03u);
+}
+
+// Short epochs: every set's one stream runs through ~515 epochs, so the
+// drawn-ahead blocks of the generator cross many epoch boundaries.
+// Recorded from the one-draw-at-a-time generator.
+TEST(DfsTraceLike, PinnedOutputWithShortEpochs) {
+  DfsTraceLikeConfig config;
+  config.epoch_seconds = 7.0;
+  const Workload w = make_dfstrace_like(config);
+  EXPECT_EQ(w.request_count(), 113174u);
+  EXPECT_EQ(request_digest(w.requests), 0x9098a2ce7b187fefu);
+}
+
+TEST(DfsTraceLike, NonPositiveOrInfiniteMeanDemandIsAPrecondition) {
+  for (const double mean : {0.0, -1.0}) {
+    DfsTraceLikeConfig config;
+    config.mean_demand = mean;
+    EXPECT_DEATH((void)make_dfstrace_like(config),
+                 "precondition failed: config.mean_demand > 0.0");
+  }
+  DfsTraceLikeConfig config;
+  config.mean_demand = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH((void)make_dfstrace_like(config),
+               "precondition failed: demand_rate > 0.0");
 }
 
 TEST(DfsTraceLike, SortedAndValid) {

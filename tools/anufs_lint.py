@@ -11,7 +11,10 @@ dynamically but the source can prove statically:
                    iteration and clock reads are the two ways
                    nondeterminism has historically leaked in. Raw clock
                    and RNG primitives are confined to sim/random and
-                   obs/profile.
+                   obs/profile. No host-libm log1p outside
+                   sim/exponential: libm variants differ in the last
+                   bit, and the exponential draw owns its log1p so the
+                   model's bits do not depend on the host.
   H1 hot-path      Functions marked ANUFS_HOT (request routing, cache
                    probes, scheduler dispatch, tuner memo hits, the
                    serving-mode reader batch loop) must not transitively
@@ -343,6 +346,11 @@ CLOCK_TOKENS = [
 # timing-independent by tests/serve_equivalence_test.cpp rather than by
 # this rule.
 D1_EXEMPT_PATHS = ("sim/random", "sim/pacing", "obs/profile", "src/serve/")
+# The host libm's log1p differs between its FMA and non-FMA builds in
+# ~4e-4 of exponential draws. sim/exponential carries the one log1p the
+# model uses (a bit-exact port), and every draw goes through it.
+LIBM_LOG1P_RE = re.compile(r"(?:\b|__builtin_)log1p[fl]?\s*\(")
+LIBM_LOG1P_HOME = "sim/exponential"
 
 
 def unordered_names(src: SourceFile) -> set[str]:
@@ -386,6 +394,15 @@ def check_d1(sources: list[SourceFile]) -> list[Finding]:
                         "(hash order is not deterministic; iterate a sorted "
                         "copy, keep an incremental aggregate, or waive with "
                         "a safe(D1) proof of order-independence)"))
+        if LIBM_LOG1P_HOME not in rel:
+            for m in LIBM_LOG1P_RE.finditer(src.clean):
+                ln = line_of(src.clean, m.start())
+                if not waived(src.raw_lines, ln, "D1"):
+                    findings.append(Finding(
+                        src.path, ln, "D1",
+                        "host-libm log1p (its last bit depends on the libm "
+                        "build; draw exponentials through "
+                        "sim/exponential.h)"))
         if exempt:
             continue
         for pattern, label in CLOCK_TOKENS:
