@@ -1,15 +1,12 @@
 // Table L: control-plane cost vs cluster size (§8 scalability claim).
 //
 // The paper's delegate recomputes tuning from n per-server reports each
-// round; a naive implementation walks the whole region map even when
-// nothing changed, so control-plane cost grows with n regardless of how
-// quiet the cluster is. This table times the three control-plane paths
-// at 1k/2k/4k servers:
+// round, so control-plane cost grows with n. This table times the two
+// control-plane paths at 1k/2k/4k servers:
 //
-//   retune_same_ns   — steady state: the identical report set against an
-//                      unmoved map (the unchanged-round memo serves after
-//                      one O(n) bitwise compare, ~1.5 ns/server);
-//   retune_fresh_ns  — every measurement moved: the full recompute;
+//   retune_fresh_ns  — one retune round with every measurement moved
+//                      (measured latencies never repeat bitwise between
+//                      rounds, so this is every round);
 //   churn_us         — one fail+add membership event, including the
 //                      half-occupancy repair and partition reshuffle;
 //   touched/evt      — servers whose share moved per membership event.
@@ -71,12 +68,11 @@ double time_ns(int reps, int inner, F&& fn) {
 int main() {
   using namespace anufs;
   metrics::TableEmitter table(
-      std::cout, {"servers", "partitions", "retune_same_ns",
-                  "retune_fresh_ns", "churn_us", "touched_per_event"});
+      std::cout, {"servers", "partitions", "retune_fresh_ns", "churn_us",
+                  "touched_per_event"});
   table.header(
-      "Table L: control-plane cost at growing cluster sizes. retune_same "
-      "is the steady-state round (nothing changed since the last report "
-      "set); retune_fresh forces the full recompute; churn is one "
+      "Table L: control-plane cost at growing cluster sizes. retune_fresh "
+      "is one retune round with every measurement moved; churn is one "
       "fail+add pair. touched_per_event counts servers whose share a "
       "membership event moved (n by design: half-occupancy conservation "
       "spreads the failed share over every survivor).");
@@ -92,11 +88,6 @@ int main() {
     const std::vector<core::ServerReport> moved = make_reports(n, rng);
 
     core::LatencyTuner tuner{core::TunerConfig{}};
-    checksum += tuner.retune(fixed, system.regions()).acted;  // warm memo
-    const double same_ns = time_ns(9, 64, [&] {
-      checksum += tuner.retune(fixed, system.regions()).acted;
-    });
-
     bool flip = false;
     const double fresh_ns = time_ns(9, 16, [&] {
       checksum += tuner.retune(flip ? moved : fixed, system.regions()).acted;
@@ -117,19 +108,9 @@ int main() {
 
     table.row({std::to_string(n),
                std::to_string(system.regions().space().count()),
-               metrics::TableEmitter::num(same_ns, 0),
                metrics::TableEmitter::num(fresh_ns, 0),
                metrics::TableEmitter::num(churn_ns / 1e3, 1),
                metrics::TableEmitter::num(touched_per_event, 1)});
   }
-  std::cout << "# expected: retune_same grows only at the memo's bitwise\n"
-               "# report-compare bandwidth (~1.5 ns/server, ~7 us at 4096)\n"
-               "# — two orders below the old per-round tree walk.\n"
-               "# retune_fresh and churn grow with n but shed the\n"
-               "# red-black-tree constants (flat history, dense slots,\n"
-               "# bitmap free list). touched_per_event == n: membership\n"
-               "# repair is globally conservative by the paper's\n"
-               "# half-occupancy rule, so O(changed) wins come from quiet\n"
-               "# rounds, not from localizing failures.\n";
   return checksum == ~std::uint64_t{0} ? 1 : 0;
 }

@@ -18,11 +18,11 @@
 #   trace-smoke  run anufs_sim --trace on a tiny scenario (default
 #             preset's build) and validate the exported JSONL against
 #             scripts/check_trace_schema.py
-#   retune-smoke  replay the 64-server retune-equivalence property
-#             (incremental control plane bit-identical to the full
-#             walk, auditor forced on) from the default preset's build
-#             — a fast tripwire for anyone touching the tuner or
-#             region map without running the full property suite
+#   retune-smoke  replay the 64-server retune churn property (200
+#             fail/add/retune plans bit-identical to a pinned digest,
+#             auditor forced on) from the default preset's build — a
+#             fast tripwire for anyone touching the tuner or region map
+#             without running the full property suite
 #   batch-smoke  replay the locate_many churn interleavings (batched
 #             answers bit-identical to the scalar sequence, cache stats
 #             included, auditor forced on) from the default preset's
@@ -61,6 +61,20 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
+
+# Runs the tests of gtest binary $1 that --gtest_filter $2 selects, with
+# the invariant auditor forced on. Fails when the filter selects no test:
+# gtest exits 0 on an empty match, so a renamed test would otherwise
+# turn the stage into a silent pass.
+run_filtered() {
+  local selected
+  selected="$("$1" --gtest_list_tests --gtest_filter="$2" | grep -c '^  ' || true)"
+  if [ "$selected" -eq 0 ]; then
+    echo "$1: --gtest_filter='$2' selects no test" >&2
+    exit 1
+  fi
+  ANUFS_AUDIT=1 "$1" --gtest_filter="$2"
+}
 
 JOBS="${ANUFS_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 RUN_BENCH=0
@@ -114,8 +128,8 @@ for stage in "${STAGES[@]}"; do
       cmake --build --preset default -j "$JOBS" \
         --target retune_equivalence_test
     fi
-    ANUFS_AUDIT=1 build/tests/retune_equivalence_test \
-      --gtest_filter='RetuneEquivalence.IncrementalMatchesFullWalkAt64'
+    run_filtered build/tests/retune_equivalence_test \
+      'RetuneEquivalence.ChurnDigestIsPinnedAt64'
     continue
   fi
   if [ "$stage" = batch-smoke ]; then
@@ -127,8 +141,8 @@ for stage in "${STAGES[@]}"; do
       cmake --build --preset default -j "$JOBS" \
         --target locate_batch_test
     fi
-    ANUFS_AUDIT=1 build/tests/locate_batch_test \
-      --gtest_filter='LocateBatch.BatchedMatchesScalarUnderRandomInterleavings'
+    run_filtered build/tests/locate_batch_test \
+      'LocateBatch.BatchedMatchesScalarUnderRandomInterleavings'
     continue
   fi
   if [ "$stage" = serve-smoke ]; then

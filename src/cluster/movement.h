@@ -113,8 +113,6 @@ class MovementModel {
 
   void clear_fault() { fault_active_ = false; }
 
-  [[nodiscard]] bool fault_active() const noexcept { return fault_active_; }
-
   [[nodiscard]] double fault_backoff() const noexcept {
     return fault_.backoff;
   }

@@ -73,8 +73,6 @@ class SanModel {
     slowdown_ = factor;
   }
 
-  [[nodiscard]] double slowdown() const noexcept { return slowdown_; }
-
   /// A blocked client's request was dropped (server crash): unblock
   /// without a transfer.
   void on_metadata_lost() {

@@ -16,25 +16,16 @@
 // after which divergent gating is skipped for one round (exactly the
 // paper's degraded mode).
 //
-// Control-plane cost (the O(changed) contract): a retune decision is a
-// pure function of (reports, per-server shares, divergence history).
-// The tuner memoizes its last round keyed by the region map's identity
-// and generation plus a bitwise comparison of the reports — armed only
-// once the history update was a no-op, so all three inputs are pinned —
-// and a round in which nothing changed (no report moved, no region
-// mutated) is answered from the memo without walking any per-server
-// state, bit-identical to recomputation by construction. Rounds where
-// something DID change recompute with O(1) dense lookups per server
-// (shares from the region map's slot table, history from a flat sorted
-// map), so cost tracks the size of the report set, not red-black-tree
-// constants. set_incremental(false) disables the memo; the equivalence
-// property suite runs both paths and requires identical decisions.
+// Control-plane cost: a retune decision is a pure function of
+// (reports, per-server shares, divergence history), recomputed every
+// round with O(1) dense lookups per server (shares from the region
+// map's slot table, history from a flat sorted map), so cost tracks
+// the size of the report set, not red-black-tree constants.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/attributes.h"
 #include "common/ids.h"
 #include "core/region_map.h"
 
@@ -98,31 +89,17 @@ class LatencyTuner {
 
   /// Compute new shares from this interval's reports and the current
   /// region map. Reports must cover exactly the registered servers.
-  /// Hot by the memo contract: an unchanged round (same map generation,
-  /// bitwise-equal reports) returns the memoized decision without
-  /// walking per-server state; only a changed round drops to the cold
-  /// recompute (retune_full).
-  [[nodiscard]] ANUFS_HOT TuneDecision retune(
-      const std::vector<ServerReport>& reports, const RegionMap& regions);
+  /// Runs once per control round and allocates its working vectors, so
+  /// it is not a hot path.
+  [[nodiscard]] TuneDecision retune(const std::vector<ServerReport>& reports,
+                                    const RegionMap& regions);
 
   /// Delegate failover: previous-interval latencies are delegate-local
-  /// state and are lost; divergent gating degrades gracefully. Also
-  /// drops the round memo (a new delegate recomputes its first round).
+  /// state and are lost; divergent gating degrades gracefully.
   void reset_history() {
     prev_ids_.clear();
     prev_lat_.clear();
-    memo_map_ = nullptr;
   }
-
-  /// Disable (or re-enable) the unchanged-round memo. The full-walk
-  /// path is the reference implementation the equivalence property
-  /// suite compares against; production leaves this on.
-  void set_incremental(bool on) {
-    incremental_ = on;
-    memo_map_ = nullptr;
-  }
-
-  [[nodiscard]] bool incremental() const noexcept { return incremental_; }
 
   [[nodiscard]] const TunerConfig& config() const noexcept { return config_; }
 
@@ -138,13 +115,6 @@ class LatencyTuner {
   }
 
  private:
-  /// The recompute behind retune(): the per-server walk, the
-  /// renormalization, and the memo (re-)arming. Cold: it runs only on
-  /// rounds where the map, the reports, or the history changed, and
-  /// the H1 hot-path lint stops traversal at this boundary.
-  [[nodiscard]] ANUFS_COLD TuneDecision retune_full(
-      const std::vector<ServerReport>& reports, const RegionMap& regions);
-
   /// The t to use this round (auto or configured).
   [[nodiscard]] double choose_threshold(
       const std::vector<ServerReport>& reports, double average) const;
@@ -154,33 +124,15 @@ class LatencyTuner {
 
   /// Fold this round's reports into the history map (reported servers
   /// updated, unreported ones retained — identical to the former
-  /// std::map's accumulate-forever semantics). Returns true when any
-  /// entry actually changed; false means the history was already at
-  /// its fixed point for these reports (the memo-arming condition).
-  bool record_history(const std::vector<ServerReport>& reports);
+  /// std::map's accumulate-forever semantics).
+  void record_history(const std::vector<ServerReport>& reports);
 
   TunerConfig config_;
-  bool incremental_ = true;
   // Previous-interval latencies as a flat sorted map: prev_ids_ sorted,
   // prev_lat_ parallel. Binary-search lookups, merge updates.
   std::vector<ServerId> prev_ids_;
   std::vector<double> prev_lat_;
   double last_threshold_ = 0.0;
-  // Last-round memo. Valid iff memo_map_ is the map passed to retune,
-  // its generation still equals memo_gen_ (generations are monotone per
-  // map, so equality means literally nothing mutated), and the reports
-  // compare bitwise-equal to memo_reports_. Armed only when the
-  // memoized round's history update was a no-op, so the divergent-
-  // gating history a hit skips is guaranteed unchanged too. The memo is
-  // dropped on reset_history(), on any history-changing round, and
-  // never survives a map mutation; it must not be trusted across the
-  // destruction of the memoized map (AnuSystem owns tuner and map 1:1,
-  // so the map outlives every memo in practice).
-  const RegionMap* memo_map_ = nullptr;
-  std::uint64_t memo_gen_ = 0;
-  std::vector<ServerReport> memo_reports_;
-  TuneDecision memo_decision_;
-  double memo_threshold_ = 0.0;
 };
 
 }  // namespace anufs::core

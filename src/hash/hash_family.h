@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "common/attributes.h"
 #include "hash/mix64.h"
@@ -81,12 +80,6 @@ class HashFamily {
     return (round & 1u) ? mix64_v2_x8(x) : mix64_x8(x);
   }
 #endif  // ANUFS_MIX64_X8
-
-  /// Convenience: probe by name.
-  [[nodiscard]] constexpr Pos probe_name(std::string_view name,
-                                         std::uint32_t round) const {
-    return probe(fingerprint(name), round);
-  }
 
   /// The direct-to-server fallback hash used after `max_rounds` failed
   /// probes: maps the fingerprint to an index in [0, n_servers).

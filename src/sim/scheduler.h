@@ -6,7 +6,6 @@
 // heap internals.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -19,12 +18,6 @@
 
 namespace anufs::sim {
 
-/// Opaque handle for cancelling a scheduled event.
-struct EventId {
-  std::uint64_t value = 0;
-  friend constexpr bool operator==(EventId, EventId) = default;
-};
-
 /// Single-threaded event calendar.
 ///
 /// Usage:
@@ -32,12 +25,10 @@ struct EventId {
 ///   sched.schedule_in(1.0, [&]{ ... });
 ///   sched.run();                      // until the calendar drains
 ///
-/// Handlers may schedule further events (including at the current time) and
-/// may cancel pending ones. cancel() reclaims the handler (and everything
-/// it captured) immediately; the heap entry itself is a tombstone skipped
-/// lazily, and the heap is compacted whenever tombstones come to dominate
-/// it, so cancel-heavy workloads stay O(live events) in memory even when
-/// the cancelled entries never surface at the top.
+/// Handlers may schedule further events, including at the current time.
+/// There is no cancellation: a model that must void a pending event
+/// carries its own validity check (the FIFO server's finish event
+/// compares an epoch), so every heap entry fires.
 ///
 /// A time-sorted arrival stream (a workload's request vector) can be
 /// merged into the calendar with merge_arrivals() instead of each arrival
@@ -63,7 +54,7 @@ class Scheduler {
   /// observe reclamation.
   ///
   /// Thread ownership: the counters are plain fields mutated by the
-  /// scheduler's owning thread on every fired/cancelled event — they are
+  /// scheduler's owning thread on every fired event — they are
   /// NOT atomics. stats() therefore returns a by-value snapshot, and
   /// both it and the fields themselves may only be read from the thread
   /// that runs the scheduler (for a parallel sweep: inside the run, or
@@ -71,31 +62,28 @@ class Scheduler {
   /// pattern parallel_runner uses when it copies stats into RunResult).
   struct Stats {
     std::uint64_t fired = 0;       ///< handlers actually run
-    std::uint64_t cancelled = 0;   ///< events cancelled before firing
-    std::uint64_t compactions = 0; ///< tombstone-purge passes over the heap
+    /// Always 0: the scheduler has no cancellation. Kept only because
+    /// perfbench/src/sim_bench.cpp reports it as sched.cancelled.
+    std::uint64_t cancelled = 0;
     std::size_t peak_pending = 0;  ///< high-water mark of pending()
     std::uint64_t pool_allocated = 0;  ///< event nodes freshly allocated
     std::uint64_t pool_recycled = 0;   ///< schedules served from the free list
     // Pool composition AT SNAPSHOT TIME, filled by stats() in the same
     // read as the cumulative counters above so the "allocates nothing"
     // assertions can check conservation (pool_size == pool_free +
-    // pending) instead of re-reading the free list in a separate call —
-    // a second read may interleave with a cancel's eager reclaim or a
-    // compaction and see the counters and the free-list head disagree.
+    // pending) in one snapshot.
     std::size_t pool_size = 0;  ///< nodes ever allocated (pool high-water)
     std::size_t pool_free = 0;  ///< slots on the free list right now
-    std::size_t pending = 0;    ///< live (un-fired, un-cancelled) events
+    std::size_t pending = 0;    ///< scheduled, not yet fired events
   };
 
   /// Current simulated time. Starts at kTimeZero; advances only while
   /// events run.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Number of events scheduled but not yet fired or cancelled. Merged
-  /// arrivals are not events: they never count here.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() - tombstones_;
-  }
+  /// Number of events scheduled but not yet fired. Merged arrivals are
+  /// not events: they never count here.
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// True when nothing is left to fire: no pending event, no arrival.
   [[nodiscard]] bool empty() const noexcept {
@@ -111,11 +99,10 @@ class Scheduler {
   /// hands the snapshot to another thread. The pool-composition fields
   /// are captured in the same call as the cumulative counters, so the
   /// conservation law pool_size == pool_free + pending holds in every
-  /// snapshot — including one taken mid-compaction, because compaction
-  /// rewrites only the heap's tombstones, never the node pool.
+  /// snapshot.
   [[nodiscard]] Stats stats() const noexcept {
     Stats s = stats_;
-    s.pool_size = nodes_.size();
+    s.pool_size = handlers_.size();
     s.pool_free = free_slots_.size();
     s.pending = pending();
     return s;
@@ -123,11 +110,9 @@ class Scheduler {
 
   /// Pre-size the calendar and the node pool for an expected peak of
   /// concurrently pending events (optional; the pool grows on demand).
-  /// Compaction never shrinks the calendar below this size.
   void reserve(std::size_t events) {
-    reserved_ = std::max(reserved_, events);
     heap_.reserve(events);
-    nodes_.reserve(events);
+    handlers_.reserve(events);
     free_slots_.reserve(events);
   }
 
@@ -151,18 +136,13 @@ class Scheduler {
   }
 
   /// Schedule `fn` at absolute simulated time `at` (>= now()).
-  ANUFS_HOT EventId schedule_at(SimTime at, Handler fn);
+  ANUFS_HOT void schedule_at(SimTime at, Handler fn);
 
   /// Schedule `fn` `delay` seconds from now (delay >= 0).
-  ANUFS_HOT EventId schedule_in(SimDuration delay, Handler fn) {
+  ANUFS_HOT void schedule_in(SimDuration delay, Handler fn) {
     ANUFS_EXPECTS(delay >= 0.0);
-    return schedule_at(now_ + delay, std::move(fn));
+    schedule_at(now_ + delay, std::move(fn));
   }
-
-  /// Cancel a pending event. Returns false if the event already fired or
-  /// was already cancelled. The handler — and any state it captured — is
-  /// released before this returns.
-  ANUFS_HOT bool cancel(EventId id);
 
   /// Run events and arrivals until both are exhausted.
   void run();
@@ -178,18 +158,10 @@ class Scheduler {
   ANUFS_HOT bool step();
 
  private:
-  // One pooled handler slot. `gen` advances every time the slot is
-  // consumed (fired or cancelled), so a heap Entry or EventId carrying a
-  // stale generation can never resolve to a recycled slot's new handler.
-  struct Node {
-    Handler fn;
-    std::uint32_t gen = 1;
-  };
   struct Entry {
     SimTime time;
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
+    std::uint32_t slot;  ///< index of the handler in handlers_
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -197,14 +169,6 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
-
-  [[nodiscard]] static constexpr std::uint64_t make_id(
-      std::uint32_t slot, std::uint32_t gen) noexcept {
-    return (static_cast<std::uint64_t>(gen) << 32) | slot;
-  }
-  [[nodiscard]] bool is_tombstone(const Entry& e) const noexcept {
-    return nodes_[e.slot].gen != e.gen;
-  }
 
   [[nodiscard]] bool arrivals_left() const noexcept {
     return arrival_next_ < arrival_count_;
@@ -214,21 +178,15 @@ class Scheduler {
   [[nodiscard]] bool arrival_leads(bool have_event) const noexcept {
     return arrivals_left() &&
            (!have_event ||
-            Later{}(heap_.front(), Entry{arrival_time_, arrival_seq_, 0, 0}));
+            Later{}(heap_.front(), Entry{arrival_time_, arrival_seq_, 0}));
   }
   void merge_arrival_stream(const std::byte* first_time, std::size_t stride,
                             std::size_t count, ArrivalFn fire);
   // Fires the next arrival, then draws the sequence number of the one
   // after it.
   ANUFS_HOT void fire_arrival();
-  // Pops and fires the heap's top entry (which must be live).
+  // Pops and fires the heap's top entry (the heap must be non-empty).
   ANUFS_HOT void fire_top();
-  // Pops cancelled entries off the heap top; returns false if drained.
-  ANUFS_HOT bool skip_cancelled();
-  // Purges tombstones from the whole heap once they dominate it. (time,
-  // seq) is a strict total order, so rebuilding the heap cannot change
-  // the firing order — determinism is preserved across compaction.
-  ANUFS_COLD void maybe_compact();
   // Slow path of schedule_at: allocate a fresh pool slot because the
   // free list is empty (the pool has not yet grown to this run's peak
   // concurrency). Cold: steady state recycles, never allocates.
@@ -237,18 +195,13 @@ class Scheduler {
   SimTime now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
   Stats stats_;
-  // Binary heap managed with std::push_heap/pop_heap (rather than
-  // std::priority_queue) so maybe_compact() can rebuild it in place.
+  // Binary heap managed with std::push_heap/pop_heap.
   std::vector<Entry> heap_;
   // Slot pool: handlers stored out of the heap so Entry stays trivially
   // copyable, recycled through free_slots_ so steady state allocates
-  // nothing. tombstones_ counts heap entries whose slot generation moved
-  // on (cancelled, by the eager-reclaim rule in cancel()).
-  std::vector<Node> nodes_;
+  // nothing.
+  std::vector<Handler> handlers_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t tombstones_ = 0;
-  // Largest reserve(): the floor for the heap's capacity after compaction.
-  std::size_t reserved_ = 0;
   // The merged arrival stream: a strided view of the records' time
   // fields, the index, time and sequence number of the next arrival.
   const std::byte* arrival_cursor_ = nullptr;

@@ -1,5 +1,5 @@
 // Tests for the discrete-event scheduler: ordering, determinism,
-// cancellation, horizons.
+// horizons, the slot pool.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -72,36 +72,12 @@ TEST(Scheduler, HandlerMayScheduleAtCurrentTime) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Scheduler, CancelPreventsFiring) {
-  Scheduler sched;
-  bool fired = false;
-  const EventId id = sched.schedule_at(1.0, [&] { fired = true; });
-  EXPECT_TRUE(sched.cancel(id));
-  sched.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sched.fired(), 0u);
-}
-
-TEST(Scheduler, CancelTwiceReturnsFalse) {
-  Scheduler sched;
-  const EventId id = sched.schedule_at(1.0, [] {});
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_FALSE(sched.cancel(id));
-}
-
-TEST(Scheduler, CancelAfterFireReturnsFalse) {
-  Scheduler sched;
-  const EventId id = sched.schedule_at(1.0, [] {});
-  sched.run();
-  EXPECT_FALSE(sched.cancel(id));
-}
-
 TEST(Scheduler, PendingCountsUnfiredUncancelled) {
   Scheduler sched;
-  const EventId a = sched.schedule_at(1.0, [] {});
+  sched.schedule_at(1.0, [] {});
   sched.schedule_at(2.0, [] {});
   EXPECT_EQ(sched.pending(), 2u);
-  sched.cancel(a);
+  EXPECT_TRUE(sched.step());
   EXPECT_EQ(sched.pending(), 1u);
 }
 
@@ -162,91 +138,17 @@ TEST(Scheduler, FiredCounterTracksHandlers) {
   EXPECT_EQ(sched.fired(), 7u);
 }
 
-TEST(Scheduler, CancelFromWithinHandler) {
-  Scheduler sched;
-  bool late_fired = false;
-  const EventId late = sched.schedule_at(5.0, [&] { late_fired = true; });
-  sched.schedule_at(1.0, [&] { sched.cancel(late); });
-  sched.run();
-  EXPECT_FALSE(late_fired);
-}
-
-TEST(Scheduler, CancelReclaimsHandlerStateImmediately) {
-  // The handler (and everything it captured) must die inside cancel(),
-  // not when the tombstone eventually surfaces at the heap top — which
-  // is never if the calendar is abandoned or run_until stops early.
-  Scheduler sched;
-  auto payload = std::make_shared<int>(7);
-  const EventId id = sched.schedule_at(1.0, [payload] { (void)*payload; });
-  EXPECT_EQ(payload.use_count(), 2);
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_EQ(payload.use_count(), 1);  // released without running anything
-}
-
-TEST(Scheduler, CancelHeavyWorkloadCompactsHeap) {
-  Scheduler sched;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 2000; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
-  }
-  for (int i = 0; i < 2000; ++i) {
-    if (i % 4 != 0) EXPECT_TRUE(sched.cancel(ids[static_cast<size_t>(i)]));
-  }
-  EXPECT_EQ(sched.pending(), 500u);
-  EXPECT_GE(sched.stats().compactions, 1u);
-  EXPECT_EQ(sched.stats().cancelled, 1500u);
-  sched.run();
-  EXPECT_EQ(sched.fired(), 500u);
-  EXPECT_TRUE(sched.empty());
-}
-
 TEST(Scheduler, StatsTrackFiredCancelledPeak) {
   Scheduler sched;
-  const EventId a = sched.schedule_at(1.0, [] {});
+  sched.schedule_at(1.0, [] {});
   sched.schedule_at(2.0, [] {});
   sched.schedule_at(3.0, [] {});
   EXPECT_EQ(sched.stats().peak_pending, 3u);
-  sched.cancel(a);
   sched.run();
-  EXPECT_EQ(sched.stats().fired, 2u);
-  EXPECT_EQ(sched.stats().cancelled, 1u);
+  EXPECT_EQ(sched.stats().fired, 3u);
+  // There is no cancellation: the counter stays 0 for its one reader.
+  EXPECT_EQ(sched.stats().cancelled, 0u);
   EXPECT_EQ(sched.stats().peak_pending, 3u);
-}
-
-TEST(Scheduler, SameTimeOrderSurvivesCompaction) {
-  // Interleave survivors and cancellations at one instant; the purge
-  // rebuilds the heap, which must not perturb the (time, seq) order.
-  Scheduler sched;
-  std::vector<int> order;
-  std::vector<EventId> doomed;
-  for (int i = 0; i < 200; ++i) {
-    sched.schedule_at(1.0, [&order, i] { order.push_back(i); });
-    doomed.push_back(sched.schedule_at(1.0, [] {}));
-  }
-  for (const EventId id : doomed) EXPECT_TRUE(sched.cancel(id));
-  EXPECT_GE(sched.stats().compactions, 1u);
-  sched.run();
-  ASSERT_EQ(order.size(), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(Scheduler, RunUntilHorizonBoundaryAfterCompaction) {
-  Scheduler sched;
-  std::vector<int> fired;
-  std::vector<EventId> doomed;
-  for (int i = 0; i < 100; ++i) {
-    doomed.push_back(sched.schedule_at(0.5, [] {}));
-  }
-  sched.schedule_at(2.0, [&] { fired.push_back(1); });
-  sched.schedule_at(2.0, [&] { fired.push_back(2); });
-  const EventId past = sched.schedule_at(2.5, [&] { fired.push_back(99); });
-  for (const EventId id : doomed) EXPECT_TRUE(sched.cancel(id));
-  EXPECT_GE(sched.stats().compactions, 1u);
-  sched.run_until(2.0);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));  // horizon events fire in order
-  EXPECT_EQ(sched.now(), 2.0);
-  EXPECT_EQ(sched.pending(), 1u);
-  EXPECT_TRUE(sched.cancel(past));
 }
 
 TEST(Scheduler, RunUntilFiresHandlerScheduledAtHorizonByHorizonHandler) {
@@ -258,41 +160,6 @@ TEST(Scheduler, RunUntilFiresHandlerScheduledAtHorizonByHorizonHandler) {
   });
   sched.run_until(2.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Scheduler, AbandonedCalendarReleasesCancelledState) {
-  // Cancel everything, never run: pending() must report empty and the
-  // cancelled ids must have been reclaimed by compaction (not retained
-  // until a drain that never happens).
-  Scheduler sched;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
-  }
-  for (const EventId id : ids) EXPECT_TRUE(sched.cancel(id));
-  EXPECT_TRUE(sched.empty());
-  EXPECT_EQ(sched.pending(), 0u);
-  EXPECT_GE(sched.stats().compactions, 1u);
-  sched.run();
-  EXPECT_EQ(sched.fired(), 0u);
-}
-
-TEST(Scheduler, DeterministicOrderWithCancellationAndCompaction) {
-  const auto run_once = [] {
-    Scheduler sched;
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 600; ++i) {
-      ids.push_back(sched.schedule_at((i * 7919) % 100,
-                                      [&order, i] { order.push_back(i); }));
-    }
-    for (int i = 0; i < 600; i += 3) {
-      sched.cancel(ids[static_cast<size_t>(i)]);
-    }
-    sched.run();
-    return order;
-  };
-  EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(Scheduler, SteadyStateRecyclesSlotsInsteadOfAllocating) {
@@ -312,33 +179,6 @@ TEST(Scheduler, SteadyStateRecyclesSlotsInsteadOfAllocating) {
   EXPECT_EQ(stats.pool_recycled, 792u);
 }
 
-TEST(Scheduler, CancelledSlotsReturnToThePool) {
-  Scheduler sched;
-  const EventId id = sched.schedule_at(1.0, [] {});
-  EXPECT_TRUE(sched.cancel(id));
-  sched.schedule_at(2.0, [] {});
-  const Scheduler::Stats stats = sched.stats();
-  EXPECT_EQ(stats.pool_allocated, 1u);
-  EXPECT_EQ(stats.pool_recycled, 1u);
-}
-
-TEST(Scheduler, StaleIdCannotCancelARecycledSlot) {
-  // After `first` fires, its slot returns to the pool and the next
-  // schedule reuses it — under a fresh generation, so the stale id must
-  // neither cancel the new event nor be reported as cancellable.
-  Scheduler sched;
-  const EventId first = sched.schedule_at(1.0, [] {});
-  sched.run();
-  bool second_fired = false;
-  const EventId second =
-      sched.schedule_at(2.0, [&second_fired] { second_fired = true; });
-  EXPECT_NE(first.value, second.value);
-  EXPECT_FALSE(sched.cancel(first));
-  sched.run();
-  EXPECT_TRUE(second_fired);
-  EXPECT_EQ(sched.stats().pool_recycled, 1u);
-}
-
 TEST(Scheduler, ReservePreSizesWithoutAllocatingNodes) {
   Scheduler sched;
   sched.reserve(64);
@@ -349,15 +189,11 @@ TEST(Scheduler, ReservePreSizesWithoutAllocatingNodes) {
   EXPECT_EQ(sched.fired(), 1u);
 }
 
-TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
-  // Regression: the pool counters used to be readable only alongside a
-  // SEPARATE read of the free list, so an assertion could observe the
-  // cumulative counters and the free-list head from different moments
-  // (e.g. one taken mid-cancel-storm, after the eager reclaim but with
-  // a pre-compaction snapshot of the counters). stats() now captures
-  // pool composition and counters in one call, so the conservation law
-  // pool_size == pool_free + pending must hold in EVERY snapshot —
-  // before, during, and after the storm that triggers compaction.
+TEST(Scheduler, StatsSnapshotConservesPoolAcrossScheduleFireStorm) {
+  // stats() captures pool composition and the cumulative counters in one
+  // call, so the conservation law pool_size == pool_free + pending must
+  // hold in EVERY snapshot: while the backlog grows, while handlers fire
+  // and schedule into the slots they just freed, and once it drains.
   Scheduler sched;
   const auto check = [&sched](const char* where) {
     const Scheduler::Stats s = sched.stats();
@@ -367,48 +203,36 @@ TEST(Scheduler, StatsSnapshotConservesPoolAcrossCancelStormAndCompaction) {
   };
   check("empty");
 
-  std::vector<EventId> ids;
   for (int i = 0; i < 200; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
+    sched.schedule_at(1.0 + i, [&sched, &check, i] {
+      check("firing");
+      // Every fifth event schedules a follow-up, which reuses a slot.
+      if (i % 5 == 0) {
+        sched.schedule_in(0.5, [&check] { check("follow-up"); });
+      }
+    });
     check("scheduling");
   }
-  // Cancel from the back: tombstones pile up until compaction fires
-  // (floor 64, majority rule) while the snapshot stays conserved on
-  // every single step, including the cancel that triggers it.
-  for (int i = 199; i >= 40; --i) {
-    ASSERT_TRUE(sched.cancel(ids[static_cast<std::size_t>(i)]));
-    check("cancelling");
+  for (int fired = 0; sched.step(); ++fired) {
+    if (fired % 7 == 0) check("stepping");
   }
-  EXPECT_GT(sched.stats().compactions, 0u);
-
-  // Steady state: fire everything; every fired slot returns to the
-  // free list, so the pool drains to fully-free.
-  sched.run();
   check("drained");
   const Scheduler::Stats end = sched.stats();
   EXPECT_EQ(end.pending, 0u);
   EXPECT_EQ(end.pool_free, end.pool_size);
-  EXPECT_EQ(end.fired, 40u);
-  EXPECT_EQ(end.cancelled, 160u);
+  EXPECT_EQ(end.pool_size, 200u);
+  EXPECT_EQ(end.fired, 240u);
+  EXPECT_EQ(end.pool_recycled, 40u);
 }
 
-TEST(Scheduler, CompactionKeepsReservedCapacity) {
-  // Compaction used to shrink the heap to fit its survivors, discarding
-  // the capacity reserve() set up, so the next burst of schedules
-  // reallocated it.
+TEST(Scheduler, ReservedSteadyStateAllocatesNothing) {
+  // Once reserve() covers the peak backlog, schedule -> fire cycles
+  // allocate nothing at all: not a pool slot, not heap capacity.
   Scheduler sched;
   sched.reserve(256);
-  std::vector<EventId> ids;
-  ids.reserve(200);
-  for (int i = 0; i < 200; ++i) {
-    ids.push_back(sched.schedule_at(1.0 + i, [] {}));
+  for (int e = 0; e < 200; ++e) {
+    sched.schedule_in(static_cast<double>(e), [] {});
   }
-  for (int i = 0; i < 200; ++i) {
-    if (i % 5 != 0) {
-      EXPECT_TRUE(sched.cancel(ids[static_cast<std::size_t>(i)]));
-    }
-  }
-  ASSERT_GE(sched.stats().compactions, 1u);
   sched.run();
   const std::uint64_t before = anufs::testing::allocations();
   for (int cycle = 0; cycle < 200; ++cycle) {
@@ -418,7 +242,7 @@ TEST(Scheduler, CompactionKeepsReservedCapacity) {
     sched.run();
   }
   EXPECT_EQ(anufs::testing::allocations(), before);
-  EXPECT_EQ(sched.fired(), 40u + 200u * 200u);
+  EXPECT_EQ(sched.fired(), 200u + 200u * 200u);
 }
 
 // ---- merged arrival streams ----------------------------------------------

@@ -16,11 +16,11 @@ dynamically but the source can prove statically:
                    bit, and the exponential draw owns its log1p so the
                    model's bits do not depend on the host.
   H1 hot-path      Functions marked ANUFS_HOT (request routing, cache
-                   probes, scheduler dispatch, tuner memo hits, the
-                   serving-mode reader batch loop) must not transitively
-                   reach allocation, throwing-container operations, or
-                   blocking calls (mutex locks, condition waits, sleeps,
-                   joins). ANUFS_COLD functions are explicit slow-path
+                   probes, scheduler dispatch, the serving-mode reader
+                   batch loop) must not transitively reach allocation,
+                   throwing-container operations, or blocking calls
+                   (mutex locks, condition waits, sleeps, joins).
+                   ANUFS_COLD functions are explicit slow-path
                    boundaries the traversal does not cross.
   T1 trace-sync    The trace category universe must agree everywhere it
                    is spelled: the Category enum in obs/trace.h, the
@@ -30,8 +30,8 @@ dynamically but the source can prove statically:
   G1 generation    Every mutating RegionMap method must advance a
                    generation stamp (generation_, membership_stamp_,
                    part_stamps_/touch()) directly or via a callee, so
-                   derived state (PlacementCache, retune memo) can never
-                   silently survive a mutation.
+                   derived state (PlacementCache) can never silently
+                   survive a mutation.
 
 Waivers: a finding on line N is suppressed when line N, or the block of
 comment lines immediately above it, contains
